@@ -7,7 +7,7 @@
 //! the metric's bound in `BENCHMARK.json`.
 //!
 //! ```text
-//! perfbench-steadiness --runs 10 --seconds 30 --seed 1 [--workloads crawl,hotspot] [--sets both|back_to_back] > STEADINESS.json
+//! perfbench-steadiness --runs 10 --seconds 30 --seed 1 [--workloads crawl,hotspot] > STEADINESS.json
 //! ```
 //!
 //! Run it from the repository root: it reads the bounds, and by default the
@@ -29,7 +29,6 @@ struct Opts {
     seconds: String,
     seed: u64,
     workloads: Vec<Workload>,
-    interleaved: bool,
 }
 
 fn parse() -> Result<Opts, String> {
@@ -38,7 +37,6 @@ fn parse() -> Result<Opts, String> {
         seconds: "10".into(),
         seed: 1,
         workloads: Vec::new(),
-        interleaved: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -52,13 +50,6 @@ fn parse() -> Result<Opts, String> {
                     .split(',')
                     .map(|w| Workload::parse(w).ok_or_else(|| format!("unknown workload `{w}`")))
                     .collect::<Result<_, _>>()?
-            }
-            "--sets" => {
-                opts.interleaved = match value.as_str() {
-                    "both" => true,
-                    "back_to_back" => false,
-                    _ => return Err("--sets takes both|back_to_back".into()),
-                }
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -179,11 +170,9 @@ fn run(opts: &Opts) -> Result<(), String> {
             order.push(("back_to_back", w, opts.seed + r as u64));
         }
     }
-    if opts.interleaved {
-        for r in 0..opts.runs {
-            for &w in &opts.workloads {
-                order.push(("interleaved", w, opts.seed + r as u64));
-            }
+    for r in 0..opts.runs {
+        for &w in &opts.workloads {
+            order.push(("interleaved", w, opts.seed + r as u64));
         }
     }
     for (set, w, seed) in order {
@@ -232,8 +221,7 @@ fn run(opts: &Opts) -> Result<(), String> {
                 if mi > 0 { "," } else { "" }
             );
             for (set, (med, q1, q3, spread)) in &per_set {
-                let ok = name == "setup_s" || *spread <= *bound;
-                all_ok &= ok;
+                all_ok &= *spread <= *bound;
                 let runs: Vec<String> = sets
                     .iter()
                     .find(|(name, _)| name == set)
@@ -250,18 +238,16 @@ fn run(opts: &Opts) -> Result<(), String> {
                     runs.join(", ")
                 );
             }
-            if per_set.len() == 2 {
-                let (a, b) = (per_set[0].1 .0, per_set[1].1 .0);
-                // Positive gap = the second set is worse.
-                let gap = if better == "lower" {
-                    (b - a) / a
-                } else {
-                    (a - b) / a
-                };
-                let ok = gap <= *bound;
-                all_ok &= ok;
-                out += &format!(", \"median_gap\": {gap:.4}, \"gap_within_bound\": {ok}");
-            }
+            let (a, b) = (per_set[0].1 .0, per_set[1].1 .0);
+            // Positive gap = the interleaved set is worse.
+            let gap = if better == "lower" {
+                (b - a) / a
+            } else {
+                (a - b) / a
+            };
+            let ok = gap <= *bound;
+            all_ok &= ok;
+            out += &format!(", \"median_gap\": {gap:.4}, \"gap_within_bound\": {ok}");
             out += "}";
         }
         out += "\n    }";

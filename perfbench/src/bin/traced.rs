@@ -13,7 +13,6 @@ use perfbench::spans::{self, Span, SpanLog};
 use perfbench::util::{self, median, nproc};
 use perfbench::workload::Plan;
 use perfbench::{report, Args, MIN_ROUNDS};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use wnw_access::cached::CachedNetwork;
@@ -24,53 +23,39 @@ use wnw_graph::generators::random::barabasi_albert;
 use wnw_graph::{Graph, NodeId};
 use wnw_runtime::WorkerPool;
 
-/// The benchmark's timing wrapper around the simulated backend: one span
-/// per `neighbors` call. It is the only boundary below the service that the
-/// benchmark can wrap.
-struct TimedOsn {
-    inner: SimulatedOsn,
-    calls: Arc<Mutex<Vec<(Instant, Instant, u32)>>>,
+/// `(start, end, node)` of every `neighbors` call a [`Recorded`] saw.
+type CallLog = Arc<Mutex<Vec<(Instant, Instant, u32)>>>;
+
+/// The benchmark's recording wrapper: one `(start, end, node)` entry per
+/// `neighbors` call made through it. Around `SimulatedOsn`, the only
+/// boundary below the service the benchmark can wrap, it times the
+/// backend; around a shared `CachedNetwork` its log length counts every
+/// walker lookup, cache hits included.
+#[derive(Clone)]
+struct Recorded<N> {
+    inner: N,
+    calls: CallLog,
 }
 
-impl SocialNetwork for TimedOsn {
+impl<N> Recorded<N> {
+    fn new(inner: N, calls: &CallLog) -> Self {
+        Recorded {
+            inner,
+            calls: Arc::clone(calls),
+        }
+    }
+}
+
+impl<N: SocialNetwork> SocialNetwork for Recorded<N> {
     fn neighbors(&self, v: NodeId) -> AccessResult<Vec<NodeId>> {
         let start = Instant::now();
         let result = self.inner.neighbors(v);
         let end = Instant::now();
         self.calls
             .lock()
-            .expect("backend log lock")
+            .expect("call log lock")
             .push((start, end, v.0));
         result
-    }
-    fn attribute(&self, name: &str, v: NodeId) -> AccessResult<f64> {
-        self.inner.attribute(name, v)
-    }
-    fn seed_node(&self) -> NodeId {
-        self.inner.seed_node()
-    }
-    fn query_stats(&self) -> QueryStats {
-        self.inner.query_stats()
-    }
-    fn reset_counters(&self) {
-        self.inner.reset_counters()
-    }
-    fn node_count_hint(&self) -> Option<usize> {
-        self.inner.node_count_hint()
-    }
-}
-
-/// Counts every `neighbors` call made through it (cache hits included).
-#[derive(Clone)]
-struct Counting<N> {
-    inner: N,
-    calls: Arc<AtomicU64>,
-}
-
-impl<N: SocialNetwork> SocialNetwork for Counting<N> {
-    fn neighbors(&self, v: NodeId) -> AccessResult<Vec<NodeId>> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.neighbors(v)
     }
     fn attribute(&self, name: &str, v: NodeId) -> AccessResult<f64> {
         self.inner.attribute(name, v)
@@ -99,19 +84,15 @@ struct Traced {
 
 fn traced_round(plan: &Plan, epoch: Instant) -> Result<Traced, String> {
     let log = SpanLog::new(epoch);
-    let calls = Arc::new(Mutex::new(Vec::new()));
+    let calls = CallLog::default();
     let opts = Options {
         spans: Some(&log),
         fetch_traces: true,
         check_oracle: false,
     };
-    let wrap = |inner| TimedOsn {
-        inner,
-        calls: Arc::clone(&calls),
-    };
-    let round = runner::run_round(plan, nproc(), wrap, &opts)?;
+    let round = runner::run_round(plan, nproc(), |osn| Recorded::new(osn, &calls), &opts)?;
     let end = round.window_start + std::time::Duration::from_secs_f64(round.window_s);
-    let backend: Vec<_> = std::mem::take(&mut *calls.lock().expect("backend log lock"))
+    let backend: Vec<_> = std::mem::take(&mut *calls.lock().expect("call log lock"))
         .into_iter()
         .filter(|&(s, _, _)| s >= round.window_start && s <= end)
         .collect();
@@ -162,24 +143,23 @@ fn engine_ms_per_sample(graph: &Graph, jobs: &[SampleJob]) -> Result<f64, String
     Ok(started.elapsed().as_secs_f64() * 1e3 / samples as f64)
 }
 
-/// Lookup probe: the same jobs stepped round by round over a counting view
+/// Lookup probe: the same jobs stepped round by round over a recorded view
 /// of one shared cache; every walker `neighbors` call per sample.
 fn lookups_per_sample(graph: &Graph, jobs: &[SampleJob]) -> f64 {
     let shared = Arc::new(CachedNetwork::new(SimulatedOsn::new(graph.clone())));
-    let counting = Counting {
-        inner: shared,
-        calls: Arc::new(AtomicU64::new(0)),
-    };
+    let calls = CallLog::default();
+    let recorded = Recorded::new(shared, &calls);
     let pool = WorkerPool::new(nproc());
     let mut samples = 0;
     for job in jobs {
-        let mut driver = JobDriver::new(counting.clone(), job);
+        let mut driver = JobDriver::new(recorded.clone(), job);
         while !driver.is_done() && !driver.poisoned() {
             driver.step_round(&pool);
         }
         samples += driver.samples_collected();
     }
-    counting.calls.load(Ordering::Relaxed) as f64 / samples as f64
+    let lookups = calls.lock().expect("call log lock").len();
+    lookups as f64 / samples as f64
 }
 
 /// Graph probe: replays the recorded backend node sequence through

@@ -129,9 +129,20 @@ pub fn finish(
         util::nproc()
     );
     let per_round: Vec<_> = rounds.iter().map(report::round_metrics).collect();
-    for key in ["samples_per_s", "ttfs_p50_ms", "ttfs_tail_ms", "setup_s"] {
+    for key in report::WALL_CLOCK
+        .iter()
+        .chain(&["cpu_ms_per_sample", "setup_s"])
+    {
         let values: Vec<String> = per_round.iter().map(|m| format!("{:.3}", m[key])).collect();
         println!("# per round {key}: {}", values.join(" "));
+    }
+    let order = report::by_throughput(rounds);
+    for (label, r) in [("best", order[order.len() - 1]), ("worst", order[0])] {
+        let values: Vec<String> = report::WALL_CLOCK
+            .iter()
+            .map(|key| format!("{key} {:.3}", per_round[r][key]))
+            .collect();
+        println!("# {label} round ({r}): {}", values.join(", "));
     }
     for (name, unit) in report::END_TO_END {
         println!("# {name} = {} {unit}", report::number(e2e[name]));

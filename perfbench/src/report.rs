@@ -70,10 +70,8 @@ pub fn round_metrics(round: &Round) -> BTreeMap<&'static str, f64> {
     ])
 }
 
-/// Wall-clock metrics reported as the best round of the run. Host CPU
-/// steal only ever slows a round down, so the best round is the one least
-/// disturbed by other guests; a slower program slows every round.
-pub const BEST_OF_ROUNDS: [&str; 5] = [
+/// Wall-clock metrics, all taken from one round: the run's best round.
+pub const WALL_CLOCK: [&str; 5] = [
     "samples_per_s",
     "ttfs_p50_ms",
     "ttfs_tail_ms",
@@ -81,22 +79,36 @@ pub const BEST_OF_ROUNDS: [&str; 5] = [
     "job_latency_tail_ms",
 ];
 
-/// The run's end-to-end metrics: the best round of each wall-clock metric
-/// ([`BEST_OF_ROUNDS`]), the median over rounds of CPU per sample and of
-/// set-up time, the (equal) counts, and the peak RSS of the first round.
-/// (Later rounds run on new threads, which glibc may give fresh malloc
-/// arenas, so the process high-water mark grows with the number of rounds —
-/// a property of the run length, not of the program.)
+/// Round indices, from the lowest `samples_per_s` to the highest.
+pub fn by_throughput(rounds: &[Round]) -> Vec<usize> {
+    let sps = |&i: &usize| samples(&rounds[i]) as f64 / rounds[i].window_s;
+    let mut order: Vec<usize> = (0..rounds.len()).collect();
+    order.sort_by(|a, b| sps(a).total_cmp(&sps(b)));
+    order
+}
+
+/// The run's end-to-end metrics:
+/// - every wall-clock metric ([`WALL_CLOCK`]) from the one round with the
+///   highest `samples_per_s`. Host CPU steal only ever slows a round down,
+///   so that round is the one least disturbed by other guests, while a
+///   slower program slows every round. Taking all five from one round
+///   keeps them a set of figures one run of the program produced;
+/// - the median over rounds of CPU per sample and of set-up time;
+/// - the (equal) counts;
+/// - the peak RSS of the first round. (Later rounds run on new threads,
+///   which glibc may give fresh malloc arenas, so the process high-water
+///   mark grows with the number of rounds — a property of the run length,
+///   not of the program.)
 pub fn end_to_end(rounds: &[Round]) -> BTreeMap<&'static str, f64> {
     let per_round: Vec<_> = rounds.iter().map(round_metrics).collect();
+    let best = *by_throughput(rounds).last().expect("a run has rounds");
     let mut out: BTreeMap<&'static str, f64> = per_round[0]
         .keys()
         .map(|&k| {
-            let values = per_round.iter().map(|m| m[k]);
-            let value = match k {
-                "samples_per_s" => values.fold(f64::MIN, f64::max),
-                _ if BEST_OF_ROUNDS.contains(&k) => values.fold(f64::MAX, f64::min),
-                _ => median(&values.collect::<Vec<_>>()),
+            let value = if WALL_CLOCK.contains(&k) {
+                per_round[best][k]
+            } else {
+                median(&per_round.iter().map(|m| m[k]).collect::<Vec<_>>())
             };
             (k, value)
         })
