@@ -7,7 +7,7 @@
 //! the metric's bound in `BENCHMARK.json`.
 //!
 //! ```text
-//! perfbench-steadiness --runs 10 --seconds 30 --seed 1 [--workloads crawl,hotspot] > STEADINESS.json
+//! perfbench-steadiness --runs 10 --seconds 55 --seed 1 [--workloads crawl,hotspot] > STEADINESS.json
 //! ```
 //!
 //! Run it from the repository root: it reads the bounds, and by default the

@@ -324,7 +324,7 @@ fn layer_metrics(t: &Traced) -> Vec<(&'static str, f64)> {
 }
 
 fn traced(args: &Args) -> Result<(String, bool), String> {
-    let plan = Plan::new(args.workload, args.seed);
+    let plan = Plan::new(args.workload, args.seed, 0);
     let epoch = Instant::now();
     let mut calibration = vec![util::host_calibration_ms()];
     let mut untraced: Vec<Round> = Vec::new();
@@ -414,7 +414,7 @@ fn traced(args: &Args) -> Result<(String, bool), String> {
 
     let mut rounds = untraced;
     rounds.extend(traced.into_iter().map(|t| t.round));
-    Ok(perfbench::finish(&plan, &rounds, Some(metrics)))
+    Ok(perfbench::finish(&rounds, Some(metrics)))
 }
 
 fn unit_of(name: &str) -> &'static str {

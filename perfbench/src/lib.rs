@@ -18,6 +18,7 @@ pub mod util;
 pub mod workload;
 
 use runner::{Options, Round};
+use std::time::Instant;
 use workload::{Plan, Workload};
 
 /// Rounds every run makes at least, so medians and the count-equality
@@ -88,44 +89,48 @@ pub fn untraced_round(plan: &Plan, oracle: bool) -> Result<Round, String> {
     runner::run_round(plan, util::nproc(), |osn| osn, &opts)
 }
 
-/// Rounds a gated run makes: one per five seconds of `--seconds`, at least
-/// [`MIN_ROUNDS`]. The count is fixed by the arguments, not by how fast the
-/// host is, because the run reports the best round of the wall-clock
-/// metrics and the best of more rounds would read better.
-pub fn rounds_for(seconds: f64) -> usize {
-    MIN_ROUNDS.max((seconds / 5.0).round() as usize)
-}
-
 /// Runs the gated benchmark and returns its result line and whether the
-/// gate passed.
+/// gate passed. It makes rounds for `--seconds`: another round starts only
+/// while the longest round so far still fits in the time left, so the run
+/// ends within `--seconds` once [`MIN_ROUNDS`] are done. The wall-clock
+/// metrics are medians over rounds, which a faster or slower host does not
+/// bias by changing the round count.
+///
+/// Rounds 0 and 1 run draw 0 of the seed's jobs, so the counts can be
+/// checked to repeat; every later round runs a fresh draw.
 pub fn gated(args: &Args) -> Result<(String, bool), String> {
-    let plan = Plan::new(args.workload, args.seed);
+    let start = Instant::now();
     let mut rounds = Vec::new();
-    for _ in 0..rounds_for(args.seconds) {
+    let mut longest = 0.0f64;
+    while rounds.len() < MIN_ROUNDS || start.elapsed().as_secs_f64() + longest <= args.seconds {
+        let began = Instant::now();
+        let draw = rounds.len().saturating_sub(1) as u64;
+        let plan = Plan::new(args.workload, args.seed, draw);
         rounds.push(untraced_round(&plan, rounds.is_empty())?);
+        longest = longest.max(began.elapsed().as_secs_f64());
     }
-    Ok(finish(&plan, &rounds, None))
+    Ok(finish(&rounds, None))
 }
 
 /// Gates `rounds`, prints the human-readable summary to stdout, and builds
 /// the result line from the end-to-end metrics (or from `per_layer`, when
 /// given).
 pub fn finish(
-    plan: &Plan,
     rounds: &[Round],
     per_layer: Option<Vec<(String, f64, &'static str)>>,
 ) -> (String, bool) {
-    let problems = report::gate(plan, rounds);
+    let problems = report::gate(rounds);
     for p in &problems {
         eprintln!("gate: {p}");
     }
-    let (attempted, failed) = report::attempted_failed(plan, rounds);
+    let (attempted, failed) = report::attempted_failed(rounds);
     let e2e = report::end_to_end(rounds);
     println!(
-        "# {} rounds of {} timed jobs, tail = p{:.2} of each round's jobs, nproc = {}",
+        "# {} rounds of {} timed jobs over {} draw(s), tail = p{:.2} of each round's jobs, nproc = {}",
         rounds.len(),
-        plan.jobs.len(),
-        util::tail_percentile(plan.jobs.len()),
+        rounds[0].plan.jobs.len(),
+        rounds.last().map_or(0, |r| r.plan.draw + 1),
+        util::tail_percentile(rounds[0].plan.jobs.len()),
         util::nproc()
     );
     let per_round: Vec<_> = rounds.iter().map(report::round_metrics).collect();

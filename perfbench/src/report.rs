@@ -3,7 +3,6 @@
 
 use crate::runner::Round;
 use crate::util::{self, median, quantile};
-use crate::workload::Plan;
 use std::collections::BTreeMap;
 
 /// End-to-end metric names and units, in `BENCHMARK.json` order.
@@ -22,7 +21,7 @@ pub const END_TO_END: [(&str, &str); 11] = [
 ];
 
 /// Metrics that are pure functions of the plan: they must repeat exactly
-/// across the rounds of one invocation.
+/// across the rounds of one invocation that run the same draw.
 pub const COUNTS: [&str; 3] = [
     "job_queries_per_sample",
     "backend_queries_per_sample",
@@ -70,7 +69,8 @@ pub fn round_metrics(round: &Round) -> BTreeMap<&'static str, f64> {
     ])
 }
 
-/// Wall-clock metrics, all taken from one round: the run's best round.
+/// Wall-clock metrics. The `#` lines print them for every round and for
+/// the best and the worst round.
 pub const WALL_CLOCK: [&str; 5] = [
     "samples_per_s",
     "ttfs_p50_ms",
@@ -88,39 +88,35 @@ pub fn by_throughput(rounds: &[Round]) -> Vec<usize> {
 }
 
 /// The run's end-to-end metrics:
-/// - every wall-clock metric ([`WALL_CLOCK`]) from the one round with the
-///   highest `samples_per_s`. Host CPU steal only ever slows a round down,
-///   so that round is the one least disturbed by other guests, while a
-///   slower program slows every round. Taking all five from one round
-///   keeps them a set of figures one run of the program produced;
-/// - the median over rounds of CPU per sample and of set-up time;
-/// - the (equal) counts;
+/// - the median over rounds of every timing: the wall-clock metrics
+///   ([`WALL_CLOCK`]), CPU per sample and set-up time. The host's CPU speed
+///   swings by up to a third for seconds at a time; a median over rounds
+///   rides out such a swing in a minority of rounds, where one chosen
+///   round's figures carry its full noise. The rounds run different draws
+///   of jobs, so the median also evens out how heavy one draw's slowest
+///   jobs happen to be;
+/// - the counts of the first round's draw, which [`gate`] checks repeat;
 /// - the peak RSS of the first round. (Later rounds run on new threads,
 ///   which glibc may give fresh malloc arenas, so the process high-water
 ///   mark grows with the number of rounds — a property of the run length,
 ///   not of the program.)
 pub fn end_to_end(rounds: &[Round]) -> BTreeMap<&'static str, f64> {
     let per_round: Vec<_> = rounds.iter().map(round_metrics).collect();
-    let best = *by_throughput(rounds).last().expect("a run has rounds");
-    let mut out: BTreeMap<&'static str, f64> = per_round[0]
-        .keys()
-        .map(|&k| {
-            let value = if WALL_CLOCK.contains(&k) {
-                per_round[best][k]
-            } else {
-                median(&per_round.iter().map(|m| m[k]).collect::<Vec<_>>())
-            };
-            (k, value)
-        })
-        .collect();
+    let over_rounds = |k| median(&per_round.iter().map(|m| m[k]).collect::<Vec<_>>());
+    let mut out: BTreeMap<&'static str, f64> =
+        per_round[0].keys().map(|&k| (k, over_rounds(k))).collect();
+    for key in COUNTS {
+        out.insert(key, per_round[0][key]);
+    }
     out.insert("peak_rss_mb", rounds[0].peak_rss_mb);
     out
 }
 
 /// The correctness gate: every message is a reason the run is not correct.
-pub fn gate(plan: &Plan, rounds: &[Round]) -> Vec<String> {
+pub fn gate(rounds: &[Round]) -> Vec<String> {
     let mut problems = Vec::new();
     for (r, round) in rounds.iter().enumerate() {
+        let plan = &round.plan;
         problems.extend(
             round
                 .warmup_failures
@@ -150,14 +146,15 @@ pub fn gate(plan: &Plan, rounds: &[Round]) -> Vec<String> {
             problems.push(format!("round {r}: {rejected} submissions rejected"));
         }
     }
-    let first = round_metrics(&rounds[0]);
-    for (r, round) in rounds.iter().enumerate().skip(1) {
-        let m = round_metrics(round);
+    let per_round: Vec<_> = rounds.iter().map(round_metrics).collect();
+    for (r, round) in rounds.iter().enumerate() {
+        let first = (0..r).find(|&f| rounds[f].plan.draw == round.plan.draw);
+        let Some(f) = first else { continue };
         for key in COUNTS {
-            if m[key].to_bits() != first[key].to_bits() {
+            if per_round[r][key].to_bits() != per_round[f][key].to_bits() {
                 problems.push(format!(
-                    "round {r}: {key} = {} differs from round 0's {}",
-                    m[key], first[key]
+                    "round {r}: {key} = {} differs from round {f}'s {} on the same draw",
+                    per_round[r][key], per_round[f][key]
                 ));
             }
         }
@@ -166,11 +163,15 @@ pub fn gate(plan: &Plan, rounds: &[Round]) -> Vec<String> {
 }
 
 /// Jobs attempted and failed over a run's rounds (warm-up jobs included).
-pub fn attempted_failed(plan: &Plan, rounds: &[Round]) -> (u64, u64) {
-    let attempted = rounds.len() as u64 * (plan.jobs.len() + plan.warmup.len()) as u64;
+pub fn attempted_failed(rounds: &[Round]) -> (u64, u64) {
+    let attempted: u64 = rounds
+        .iter()
+        .map(|r| (r.plan.jobs.len() + r.plan.warmup.len()) as u64)
+        .sum();
     let failed: u64 = rounds
         .iter()
         .map(|r| {
+            let plan = &r.plan;
             let missing = plan.jobs.len().saturating_sub(r.jobs.len());
             let bad = r
                 .jobs

@@ -98,6 +98,8 @@ impl SetupTimes {
 /// Everything one round measured.
 #[derive(Debug)]
 pub struct Round {
+    /// The plan the round ran.
+    pub plan: Plan,
     pub setup: SetupTimes,
     /// Timed window: first POST of the closed loop → last `done` read.
     pub window_s: f64,
@@ -329,6 +331,7 @@ where
         Vec::new()
     };
     Ok(Round {
+        plan: plan.clone(),
         setup,
         window_s,
         window_start: w0,

@@ -62,6 +62,8 @@ impl JobSpec {
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub workload: Workload,
+    /// Which draw of the seed's timed jobs this is.
+    pub draw: u64,
     /// Barabási–Albert parameters `(n, m, seed)`.
     pub graph: (usize, usize, u64),
     pub warmup: Vec<JobSpec>,
@@ -72,11 +74,15 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The plan of `workload` at `seed`. The graph, the hot nodes and the
-    /// warm-up are fixed parts of each workload, like a dataset; the seed
-    /// draws the timed jobs (start nodes and job seeds).
-    pub fn new(workload: Workload, seed: u64) -> Plan {
-        let mut rng = Rng::new(seed ^ (workload as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    /// The plan of `workload` at `seed`, draw `draw`. The graph, the hot
+    /// nodes and the warm-up are fixed parts of each workload, like a
+    /// dataset; the seed and the draw pick the timed jobs (start nodes and
+    /// job seeds), so the rounds of a run can each take a different draw.
+    pub fn new(workload: Workload, seed: u64, draw: u64) -> Plan {
+        let mut rng = Rng::new(
+            seed ^ (workload as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ draw.wrapping_mul(0xd1b5_4a32_d192_ed03),
+        );
         let mut fixed = Rng::new(0x5eed_0000 + workload as u64);
         let graph_seed = fixed.next_u64();
         match workload {
@@ -92,6 +98,7 @@ impl Plan {
                     .collect();
                 Plan {
                     workload,
+                    draw,
                     graph: (n, 5, graph_seed),
                     warmup: Vec::new(),
                     jobs,
@@ -126,6 +133,7 @@ impl Plan {
                     .collect();
                 Plan {
                     workload,
+                    draw,
                     graph: (n, 5, graph_seed),
                     warmup,
                     jobs,
@@ -149,6 +157,7 @@ impl Plan {
                     .collect();
                 Plan {
                     workload,
+                    draw,
                     graph: (1_000, 3, graph_seed),
                     warmup,
                     jobs,
@@ -187,11 +196,14 @@ mod tests {
     #[test]
     fn plans_depend_only_on_the_seed() {
         for w in ALL {
-            let (a, b) = (Plan::new(w, 5), Plan::new(w, 5));
+            let (a, b) = (Plan::new(w, 5, 1), Plan::new(w, 5, 1));
             assert_eq!(a.graph, b.graph);
             let bodies = |p: &Plan| p.jobs.iter().map(JobSpec::body).collect::<Vec<_>>();
             assert_eq!(bodies(&a), bodies(&b));
-            assert_ne!(bodies(&a), bodies(&Plan::new(w, 6)));
+            assert_ne!(bodies(&a), bodies(&Plan::new(w, 6, 1)));
+            assert_ne!(bodies(&a), bodies(&Plan::new(w, 5, 2)));
+            let c = Plan::new(w, 5, 2);
+            assert_eq!((a.graph, a.warmup.len()), (c.graph, c.warmup.len()));
         }
     }
 
