@@ -102,29 +102,44 @@ impl<N: SocialNetwork> CachedNetwork<N> {
         // (Fibonacci hashing) so consecutive ids spread across shards.
         (((v.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (SHARD_COUNT - 1)
     }
-}
 
-impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
-    fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
+    /// Answers one walker access from `v`'s cached list, fetching and
+    /// caching it on a miss; `read` sees the list under the shard lock, so a
+    /// hit copies only what `read` returns.
+    fn with_list<T>(&self, v: NodeId, read: impl FnOnce(&[NodeId]) -> T) -> Result<T> {
         let shard = &self.shards[Self::shard_of(v)];
         let mut guard = lock(shard);
         if let Some(cached) = guard.get(&v) {
-            let list = cached.clone();
+            let answer = read(cached);
             drop(guard);
             // Served locally: counts as an api call + cache hit, never as a
             // new unique node (the entry's presence implies it was recorded).
             let _ = self.counter.record_neighbor_query(v);
-            return Ok(list);
+            return Ok(answer);
         }
         // Miss: fetch while holding the shard lock so a racing walker cannot
         // issue a duplicate inner query for the same node.
         let list = self.inner.neighbors(v)?;
-        guard.insert(v, list.clone());
+        let answer = read(&list);
+        guard.insert(v, list);
         drop(guard);
         self.counter
             .record_neighbor_query(v)
             .expect("cache counter is unlimited and each node is recorded once");
-        Ok(list)
+        Ok(answer)
+    }
+}
+
+impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
+    fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
+        self.with_list(v, <[NodeId]>::to_vec)
+    }
+
+    /// Metered and cached exactly like [`neighbors`](SocialNetwork::neighbors)
+    /// (a miss fetches and caches the full list), but a hit reads the length
+    /// without copying the list.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        self.with_list(v, <[NodeId]>::len)
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
@@ -194,6 +209,24 @@ mod tests {
         assert_eq!(cache.query_cost(), 10);
         assert_eq!(cache.query_stats().api_calls, 30);
         assert_eq!(cache.inner().query_cost(), 10);
+    }
+
+    #[test]
+    fn degree_probes_are_cached_and_counted_like_neighbor_queries() {
+        let by_degree = CachedNetwork::new(SimulatedOsn::new(cycle(6)));
+        let by_list = CachedNetwork::new(SimulatedOsn::new(cycle(6)));
+        for v in [0, 0, 3, 0, 3] {
+            let degree = by_degree.degree(NodeId(v)).unwrap();
+            assert_eq!(degree, by_list.neighbors(NodeId(v)).unwrap().len());
+        }
+        assert_eq!(by_degree.query_stats(), by_list.query_stats());
+        assert_eq!(by_degree.inner().query_stats().api_calls, 2);
+        // A degree miss caches the full list for later neighbor reads.
+        assert!(by_degree.is_cached(NodeId(3)));
+        assert_eq!(
+            by_degree.neighbors(NodeId(3)).unwrap(),
+            vec![NodeId(2), NodeId(4)]
+        );
     }
 
     #[test]

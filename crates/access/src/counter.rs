@@ -16,9 +16,8 @@
 use crate::error::AccessError;
 use crate::sync::lock;
 use crate::Result;
-use std::collections::HashSet;
 use std::sync::Mutex;
-use wnw_graph::NodeId;
+use wnw_graph::{NodeId, NodeSet};
 
 /// A hard cap on the number of unique-node queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +53,7 @@ pub struct QueryCounter {
 
 #[derive(Debug, Default)]
 struct CounterInner {
-    visited: HashSet<NodeId>,
+    visited: NodeSet,
     stats: QueryStats,
 }
 
@@ -110,6 +109,15 @@ impl QueryCounter {
         lock(&self.inner).visited.contains(&v)
     }
 
+    /// Whether a neighbor query for `v` fits the budget: `v` was already
+    /// charged, or budget is left for one more unique node. One lock, where
+    /// [`is_visited`](Self::is_visited) then [`remaining`](Self::remaining)
+    /// would take two.
+    pub fn admits(&self, v: NodeId) -> bool {
+        let inner = lock(&self.inner);
+        inner.stats.unique_nodes < self.budget.0 || inner.visited.contains(&v)
+    }
+
     /// Number of unique nodes charged so far — the query cost.
     pub fn query_cost(&self) -> u64 {
         lock(&self.inner).stats.unique_nodes
@@ -157,6 +165,20 @@ mod tests {
         assert_eq!(c.query_cost(), 2);
         assert!(c.is_visited(NodeId(1)));
         assert!(!c.is_visited(NodeId(3)));
+    }
+
+    #[test]
+    fn admits_visited_nodes_or_while_budget_is_left() {
+        let c = QueryCounter::with_budget(QueryBudget(1));
+        assert!(c.admits(NodeId(1)));
+        c.record_neighbor_query(NodeId(1)).unwrap();
+        // Budget spent: only the already-charged node is still admitted.
+        assert!(c.admits(NodeId(1)));
+        assert!(!c.admits(NodeId(2)));
+        assert_eq!(
+            c.admits(NodeId(2)),
+            c.is_visited(NodeId(2)) || c.remaining() > 0
+        );
     }
 
     #[test]

@@ -64,24 +64,38 @@ impl<N: SocialNetwork> MeteredNetwork<N> {
     pub fn counter_handle(&self) -> Arc<QueryCounter> {
         self.counter.clone()
     }
-}
 
-impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
-    fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        // Enforce this view's budget *before* issuing the inner query, but
-        // record the charge only *after* it succeeds: a failed query (rate
-        // limit, unknown node) must not consume budget or mark the node as
-        // visited, or a later successful retry would be mis-counted as free.
-        if !self.counter.is_visited(v) && self.counter.remaining() == 0 {
+    /// Runs one neighbor-list access (`query` is the inner `neighbors` or
+    /// `degree`) under this view's budget and accounting.
+    ///
+    /// The budget is enforced *before* the inner query, but the charge is
+    /// recorded only *after* it succeeds: a failed query (rate limit,
+    /// unknown node) must not consume budget or mark the node as visited,
+    /// or a later successful retry would be mis-counted as free.
+    fn metered<T>(&self, v: NodeId, query: impl FnOnce(&N) -> Result<T>) -> Result<T> {
+        if !self.counter.admits(v) {
             return Err(crate::AccessError::BudgetExhausted {
                 budget: self.counter.budget().0,
             });
         }
-        let list = self.inner.neighbors(v)?;
+        let answer = query(&self.inner)?;
         self.counter
             .record_neighbor_query(v)
             .expect("budget was checked before the inner query");
-        Ok(list)
+        Ok(answer)
+    }
+}
+
+impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
+    fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
+        self.metered(v, |inner| inner.neighbors(v))
+    }
+
+    /// Charged exactly like [`neighbors`](SocialNetwork::neighbors), but
+    /// asks the inner network for the length only, so a cache below need
+    /// not copy the list.
+    fn degree(&self, v: NodeId) -> Result<usize> {
+        self.metered(v, |inner| inner.degree(v))
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
@@ -147,6 +161,23 @@ mod tests {
         ));
         // Re-reads of the view's own nodes stay allowed.
         assert!(view.neighbors(NodeId(1)).is_ok());
+    }
+
+    #[test]
+    fn degree_probes_are_charged_like_neighbor_queries() {
+        let cache = CachedNetwork::new(SimulatedOsn::new(complete(5)));
+        let by_degree = MeteredNetwork::with_budget(&cache, QueryBudget(2));
+        let by_list = MeteredNetwork::with_budget(SimulatedOsn::new(complete(5)), QueryBudget(2));
+        for v in [0, 1, 0, 2, 1] {
+            let degree = by_degree.degree(NodeId(v));
+            let list = by_list.neighbors(NodeId(v));
+            assert_eq!(degree, list.map(|l| l.len()));
+            assert_eq!(by_degree.query_stats(), by_list.query_stats());
+        }
+        assert!(matches!(
+            by_degree.degree(NodeId(2)),
+            Err(AccessError::BudgetExhausted { budget: 2 })
+        ));
     }
 
     #[test]

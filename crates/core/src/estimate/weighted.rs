@@ -17,6 +17,14 @@
 //! with full support — the property Section 5.1 establishes and Section 5.3
 //! explicitly aims to preserve ("to maintain the unbiasedness of the
 //! estimation algorithm"). This is documented in DESIGN.md.
+//!
+//! # History reads
+//!
+//! A backward step reads the history once: [`selection_distribution`] hands
+//! the whole candidate slice to [`HistoryView::add_counts_at`], so each
+//! history layer resolves the step once, and a pool-shared layer takes its
+//! stripe read-lock once per backward step rather than once per candidate
+//! (see [the history module](crate::history#reading-counts)).
 
 use crate::history::HistoryView;
 use wnw_graph::NodeId;
@@ -38,10 +46,8 @@ pub fn selection_distribution(
     let k = candidates.len();
     assert!(k > 0, "selection over an empty candidate set");
     let epsilon = epsilon.clamp(0.0, 1.0);
-    let counts: Vec<u64> = candidates
-        .iter()
-        .map(|&c| history.count_at(c, step))
-        .collect();
+    let mut counts = vec![0u64; k];
+    history.add_counts_at(step, candidates, &mut counts);
     let total: u64 = counts.iter().sum();
     let mut probs = vec![epsilon / k as f64; k];
     if total == 0 {

@@ -21,10 +21,11 @@
 //!
 //! The consumers ([`selection_distribution`](crate::estimate::weighted) and
 //! the backward estimator) only need per-(node, step) counts, captured by the
-//! [`HistoryView`] trait. Correctness never depends on *which* history a
-//! walker sees: the importance-weighted backward estimator is unbiased for
-//! any selection distribution with full support, so richer history only
-//! reduces variance. That is also what makes cross-job reuse safe — a
+//! [`HistoryView`] trait (see [Reading counts](#reading-counts)).
+//! Correctness never depends on *which* history a walker sees: the
+//! importance-weighted backward estimator is unbiased for any selection
+//! distribution with full support, so richer history only reduces
+//! variance. That is also what makes cross-job reuse safe — a
 //! [`ReuseCorrection`] merely *reweights* the reused evidence against the
 //! job's own fresh walks; the ε floor of the selection distribution keeps
 //! full support either way, so the estimator contract is never violated.
@@ -39,21 +40,75 @@
 //! admission — deterministic given an admission order — and the default
 //! isolated policy (no snapshot, no publication) keeps today's
 //! thread-count- and co-load-invariance exactly.
+//!
+//! # Reading counts
+//!
+//! A weighted backward step needs the count of every predecessor candidate
+//! at one step, so the one read path is the bulk
+//! [`HistoryView::add_counts_at`]: it adds the counts of a whole candidate
+//! slice at one step into an output slice. Each layer resolves its step
+//! once per call and then probes one [`NodeMap`] per candidate:
+//!
+//! * [`WalkHistory`] and [`FrozenHistory`] index their per-step vector;
+//! * [`SharedWalkHistory`] takes the step's stripe read-lock **once per
+//!   call** and holds it across the candidate probes (never once per
+//!   candidate); merges take the write lock, at the engine's barriers only;
+//! * [`OverlayHistory`] adds its shared base, then its pending walks;
+//! * [`SeededHistory`] adds the [`ReuseCorrection`]-weighted frozen count of
+//!   each candidate, then its live overlay.
+//!
+//! [`HistoryView::count_at`] is the same read for one node. Every map is a
+//! [`NodeMap`], whose multiplicative hasher replaces SipHash on these
+//! lookups; counts, and so every selection probability, are unchanged.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use wnw_access::sync::{read, write};
-use wnw_graph::NodeId;
+use wnw_graph::{NodeId, NodeMap};
 use wnw_mcmc::RandomWalkKind;
 
 /// Read access to per-(node, step) visit counts of past forward walks.
 pub trait HistoryView: std::fmt::Debug {
-    /// Number of recorded walks that were at `node` at step `step`.
-    fn count_at(&self, node: NodeId, step: usize) -> u64;
+    /// Adds to `out[i]` the number of recorded walks that were at
+    /// `nodes[i]` at step `step`, for every `i`. Absent nodes and steps past
+    /// the recorded length add nothing. Adding (rather than overwriting)
+    /// lets a layered view sum its layers into one buffer.
+    ///
+    /// # Panics
+    /// Panics if `nodes` and `out` differ in length.
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]);
+
+    /// Number of recorded walks that were at `node` at step `step`: the
+    /// bulk read for a single node.
+    fn count_at(&self, node: NodeId, step: usize) -> u64 {
+        let mut count = [0];
+        self.add_counts_at(step, &[node], &mut count);
+        count[0]
+    }
 
     /// Number of walks recorded (`n_hw`).
     fn walk_count(&self) -> u64;
+}
+
+/// Adds `weight(counts[node])` to `out[i]` for every `nodes[i]` present in
+/// one step's `counts` (`None`: the step was never recorded). Every layer
+/// reads through here; `weight(0)` must be 0, as absent nodes are skipped.
+fn add_step_counts(
+    counts: Option<&NodeMap<u64>>,
+    nodes: &[NodeId],
+    out: &mut [u64],
+    weight: impl Fn(u64) -> u64,
+) {
+    assert_eq!(nodes.len(), out.len(), "one output slot per node");
+    let Some(counts) = counts else {
+        return;
+    };
+    for (node, slot) in nodes.iter().zip(out) {
+        if let Some(&count) = counts.get(node) {
+            *slot += weight(count);
+        }
+    }
 }
 
 /// Per-step visit counts across all recorded forward walks.
@@ -61,7 +116,7 @@ pub trait HistoryView: std::fmt::Debug {
 pub struct WalkHistory {
     /// `counts[t][v]` = number of recorded walks that were at node `v` at
     /// step `t`.
-    counts: Vec<HashMap<NodeId, u64>>,
+    counts: Vec<NodeMap<u64>>,
     /// Number of walks recorded.
     walks: u64,
 }
@@ -78,7 +133,7 @@ impl WalkHistory {
             return;
         }
         if self.counts.len() < path.len() {
-            self.counts.resize_with(path.len(), HashMap::new);
+            self.counts.resize_with(path.len(), NodeMap::default);
         }
         for (step, &node) in path.iter().enumerate() {
             *self.counts[step].entry(node).or_insert(0) += 1;
@@ -89,16 +144,6 @@ impl WalkHistory {
     /// Number of walks recorded so far (`n_hw`).
     pub fn walk_count(&self) -> u64 {
         self.walks
-    }
-
-    /// Number of recorded walks that were at `node` at step `step`
-    /// (`n_{node, step}`).
-    pub fn count_at(&self, node: NodeId, step: usize) -> u64 {
-        self.counts
-            .get(step)
-            .and_then(|m| m.get(&node))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// All nodes seen at `step`, with their counts.
@@ -127,8 +172,8 @@ impl WalkHistory {
 }
 
 impl HistoryView for WalkHistory {
-    fn count_at(&self, node: NodeId, step: usize) -> u64 {
-        WalkHistory::count_at(self, node, step)
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
+        add_step_counts(self.counts.get(step), nodes, out, |count| count);
     }
 
     fn walk_count(&self) -> u64 {
@@ -137,8 +182,8 @@ impl HistoryView for WalkHistory {
 }
 
 /// Number of independent stripes of a [`SharedWalkHistory`]. Counts for step
-/// `t` live in stripe `t % STRIPE_COUNT`, so walkers reading different steps
-/// of the backward recursion rarely contend.
+/// `t` live in slot `t / STRIPE_COUNT` of stripe `t % STRIPE_COUNT`, so
+/// walkers reading different steps of the backward recursion rarely contend.
 pub const STRIPE_COUNT: usize = 16;
 
 /// A walk history shared by a pool of concurrent walkers.
@@ -157,8 +202,9 @@ pub const STRIPE_COUNT: usize = 16;
 /// take the write lock.
 #[derive(Debug, Default)]
 pub struct SharedWalkHistory {
-    /// `stripes[t % STRIPE_COUNT]` holds `step → node → count` for its steps.
-    stripes: [RwLock<HashMap<usize, HashMap<NodeId, u64>>>; STRIPE_COUNT],
+    /// `stripes[t % STRIPE_COUNT][t / STRIPE_COUNT]` holds step `t`'s
+    /// `node → count` map.
+    stripes: [RwLock<Vec<NodeMap<u64>>>; STRIPE_COUNT],
     walks: AtomicU64,
 }
 
@@ -181,11 +227,21 @@ impl SharedWalkHistory {
         }
         for step in 0..local.max_recorded_length() {
             let mut stripe = write(&self.stripes[step % STRIPE_COUNT]);
+            let counts = Self::slot_mut(&mut stripe, step);
             for (node, count) in local.nodes_at(step) {
-                *stripe.entry(step).or_default().entry(node).or_insert(0) += count;
+                *counts.entry(node).or_insert(0) += count;
             }
         }
         self.walks.fetch_add(local.walk_count(), Ordering::Relaxed);
+    }
+
+    /// Step `step`'s map within its (write-locked) stripe, grown on demand.
+    fn slot_mut(stripe: &mut Vec<NodeMap<u64>>, step: usize) -> &mut NodeMap<u64> {
+        let slot = step / STRIPE_COUNT;
+        if stripe.len() <= slot {
+            stripe.resize_with(slot + 1, NodeMap::default);
+        }
+        &mut stripe[slot]
     }
 
     /// Records one walk directly (convenience for tests and single callers;
@@ -196,7 +252,7 @@ impl SharedWalkHistory {
         }
         for (step, &node) in path.iter().enumerate() {
             let mut stripe = write(&self.stripes[step % STRIPE_COUNT]);
-            *stripe.entry(step).or_default().entry(node).or_insert(0) += 1;
+            *Self::slot_mut(&mut stripe, step).entry(node).or_insert(0) += 1;
         }
         self.walks.fetch_add(1, Ordering::Relaxed);
     }
@@ -206,17 +262,18 @@ impl SharedWalkHistory {
     /// Counts are additive, so the export is identical whatever order the
     /// walkers merged in.
     pub fn export(&self) -> WalkHistory {
-        let mut per_step: HashMap<usize, HashMap<NodeId, u64>> = HashMap::new();
-        for stripe in &self.stripes {
-            for (&step, nodes) in read(stripe).iter() {
-                per_step.insert(step, nodes.clone());
+        let mut counts: Vec<NodeMap<u64>> = Vec::new();
+        for (offset, stripe) in self.stripes.iter().enumerate() {
+            for (slot, nodes) in read(stripe).iter().enumerate() {
+                if nodes.is_empty() {
+                    continue;
+                }
+                let step = slot * STRIPE_COUNT + offset;
+                if counts.len() <= step {
+                    counts.resize_with(step + 1, NodeMap::default);
+                }
+                counts[step] = nodes.clone();
             }
-        }
-        let len = per_step.keys().max().map_or(0, |&s| s + 1);
-        let mut counts = Vec::with_capacity(len);
-        counts.resize_with(len, HashMap::new);
-        for (step, nodes) in per_step {
-            counts[step] = nodes;
         }
         WalkHistory {
             counts,
@@ -226,12 +283,10 @@ impl SharedWalkHistory {
 }
 
 impl HistoryView for SharedWalkHistory {
-    fn count_at(&self, node: NodeId, step: usize) -> u64 {
-        read(&self.stripes[step % STRIPE_COUNT])
-            .get(&step)
-            .and_then(|m| m.get(&node))
-            .copied()
-            .unwrap_or(0)
+    /// One stripe read-lock for the whole slice.
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
+        let stripe = read(&self.stripes[step % STRIPE_COUNT]);
+        add_step_counts(stripe.get(step / STRIPE_COUNT), nodes, out, |count| count);
     }
 
     fn walk_count(&self) -> u64 {
@@ -255,8 +310,9 @@ impl<'a> OverlayHistory<'a> {
 }
 
 impl HistoryView for OverlayHistory<'_> {
-    fn count_at(&self, node: NodeId, step: usize) -> u64 {
-        self.base.count_at(node, step) + self.pending.count_at(node, step)
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
+        self.base.add_counts_at(step, nodes, out);
+        self.pending.add_counts_at(step, nodes, out);
     }
 
     fn walk_count(&self) -> u64 {
@@ -328,7 +384,7 @@ pub struct FrozenHistory {
     /// `Arc`-shared with the store's live aggregate (and with earlier
     /// snapshots): a publication clones only the steps its delta touches,
     /// so snapshot cost does not grow with the steps left untouched.
-    counts: Vec<Arc<HashMap<NodeId, u64>>>,
+    counts: Vec<Arc<NodeMap<u64>>>,
     /// Number of published walks aggregated.
     walks: u64,
     /// Store epoch this snapshot was frozen at.
@@ -356,12 +412,9 @@ impl FrozenHistory {
 }
 
 impl HistoryView for FrozenHistory {
-    fn count_at(&self, node: NodeId, step: usize) -> u64 {
-        self.counts
-            .get(step)
-            .and_then(|m| m.get(&node))
-            .copied()
-            .unwrap_or(0)
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
+        let counts = self.counts.get(step).map(Arc::as_ref);
+        add_step_counts(counts, nodes, out, |count| count);
     }
 
     fn walk_count(&self) -> u64 {
@@ -401,7 +454,7 @@ pub struct HistoryStoreStats {
 /// footprint instead of re-cloning the whole accumulated history.
 #[derive(Debug, Default)]
 struct KeyAggregate {
-    counts: Vec<Arc<HashMap<NodeId, u64>>>,
+    counts: Vec<Arc<NodeMap<u64>>>,
     walks: u64,
     acquisition_cost: u64,
     /// Copy-on-publish snapshot handed to admitted jobs.
@@ -565,8 +618,10 @@ pub struct SeededHistory<'a> {
 }
 
 impl HistoryView for SeededHistory<'_> {
-    fn count_at(&self, node: NodeId, step: usize) -> u64 {
-        self.correction.apply(self.base.count_at(node, step)) + self.live.count_at(node, step)
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
+        let reused = self.base.counts.get(step).map(Arc::as_ref);
+        add_step_counts(reused, nodes, out, |count| self.correction.apply(count));
+        self.live.add_counts_at(step, nodes, out);
     }
 
     fn walk_count(&self) -> u64 {
@@ -693,11 +748,11 @@ pub enum HistoryViewRef<'a> {
 }
 
 impl HistoryView for HistoryViewRef<'_> {
-    fn count_at(&self, node: NodeId, step: usize) -> u64 {
+    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
         match self {
-            HistoryViewRef::Local(h) => h.count_at(node, step),
-            HistoryViewRef::Overlay(o) => o.count_at(node, step),
-            HistoryViewRef::Seeded(s) => s.count_at(node, step),
+            HistoryViewRef::Local(h) => h.add_counts_at(step, nodes, out),
+            HistoryViewRef::Overlay(o) => o.add_counts_at(step, nodes, out),
+            HistoryViewRef::Seeded(s) => s.add_counts_at(step, nodes, out),
         }
     }
 

@@ -52,7 +52,7 @@ pub use attributes::{AttributeTable, NodeAttributes};
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::Graph;
-pub use node::NodeId;
+pub use node::{NodeId, NodeIdHasher, NodeMap, NodeSet};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

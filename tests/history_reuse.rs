@@ -244,3 +244,50 @@ fn reuse_correction_modes_are_deterministic_request_state() {
         run_with(ReuseCorrection::Raw)
     );
 }
+
+/// Golden pin of a reusing job: after a `SharedPublish` job, a
+/// `SharedReadOnly` job streams exactly this `(node, attempts, query_cost)`
+/// sequence and reports this query cost. The constants were recorded
+/// before history reads became bulk, per-step reads and history maps moved
+/// to the `NodeId` hasher, so they check that neither changed a single
+/// count, selection probability or random draw.
+#[test]
+fn reusing_job_replays_its_recorded_sample_sequence() {
+    const GOLDEN: [(u32, u32, u64); 12] = [
+        (245, 1, 422),
+        (100, 1, 424),
+        (230, 1, 423),
+        (12, 1, 424),
+        (2, 3, 430),
+        (75, 1, 427),
+        (25, 6, 442),
+        (1, 1, 433),
+        (514, 1, 431),
+        (12, 1, 443),
+        (25, 1, 434),
+        (140, 6, 447),
+    ];
+    const GOLDEN_QUERY_COST: u64 = 472;
+
+    let svc = service(false);
+    let _ = run_one(&svc, we_job(24, 0xA0), HistoryPolicy::SharedPublish);
+    let ticket = svc
+        .submit(
+            SampleRequest::new(we_job(12, 0xC0)).with_history_policy(HistoryPolicy::SharedReadOnly),
+        )
+        .unwrap();
+    let (samples, outcome) = ticket.stream.collect_all();
+    let outcome = outcome.unwrap();
+    assert_eq!(outcome.status, JobStatus::Completed);
+    assert_eq!(
+        svc.history_stats().hits,
+        1,
+        "the reader used the published history"
+    );
+    let sequence: Vec<(u32, u32, u64)> = samples
+        .iter()
+        .map(|s| (s.node.0, s.attempts, s.query_cost))
+        .collect();
+    assert_eq!(sequence, GOLDEN);
+    assert_eq!(outcome.query_cost, GOLDEN_QUERY_COST);
+}

@@ -202,6 +202,129 @@ fn prop_shared_history_merge_is_order_independent_at_any_width() {
     }
 }
 
+/// The bulk history read agrees with a per-node reference on every layer:
+/// for random walk sets, `add_counts_at` over a candidate slice (with
+/// absent nodes, repeats, and steps past the recorded length) adds exactly
+/// the count each layer defines node by node, computed here from the raw
+/// walks: plain and shared histories count their walks, a published
+/// snapshot counts the published walks, an overlay sums shared and pending
+/// walks, and a seeded view adds the `ReuseCorrection` of the published
+/// count to its live overlay.
+#[test]
+fn prop_bulk_history_reads_match_per_node_reference_on_every_layer() {
+    use std::sync::Arc;
+    use walk_not_wait::core::{
+        HistoryHandle, HistoryKey, HistoryStore, HistoryView, ReuseCorrection, SharedWalkHistory,
+        WalkHistory,
+    };
+
+    use rand::seq::SliceRandom;
+
+    type Walks = Vec<Vec<NodeId>>;
+    const NODES: u32 = 20;
+    /// Walks that were at `node` at `step`.
+    fn reference(walks: &[Vec<NodeId>], node: NodeId, step: usize) -> u64 {
+        walks.iter().filter(|w| w.get(step) == Some(&node)).count() as u64
+    }
+    fn record(history: &mut WalkHistory, walks: &[Vec<NodeId>]) {
+        for walk in walks {
+            history.record_walk(walk);
+        }
+    }
+    /// Checks one view: the bulk read adds `expected` into a pre-filled
+    /// buffer, and `count_at` agrees node by node.
+    fn check(
+        layer: &str,
+        view: &dyn HistoryView,
+        candidates: &[NodeId],
+        steps: usize,
+        expected: impl Fn(NodeId, usize) -> u64,
+    ) {
+        for step in 0..steps {
+            let mut out: Vec<u64> = (0..candidates.len() as u64).collect();
+            view.add_counts_at(step, candidates, &mut out);
+            for (i, (&node, &got)) in candidates.iter().zip(&out).enumerate() {
+                let want = expected(node, step);
+                assert_eq!(
+                    got,
+                    i as u64 + want,
+                    "{layer}: bulk read at ({node}, {step})"
+                );
+                assert_eq!(view.count_at(node, step), want, "{layer}: ({node}, {step})");
+            }
+        }
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x1A0B);
+    for _ in 0..CASES {
+        let mut walks = |max: usize| -> Walks {
+            (0..rng.gen_range(0..max))
+                .map(|_| {
+                    (0..rng.gen_range(1usize..9))
+                        .map(|_| NodeId(rng.gen_range(0..NODES)))
+                        .collect()
+                })
+                .collect()
+        };
+        let (base, shared_walks, pending_walks) = (walks(12), walks(12), walks(5));
+        // Known, absent (>= NODES) and repeated candidates, in random order.
+        let mut candidates: Vec<NodeId> = (0..NODES + 4).map(NodeId).collect();
+        candidates.push(NodeId(rng.gen_range(0..NODES)));
+        candidates.shuffle(&mut rng);
+        // Every layer is read 3 steps past its recorded length.
+        let steps = 8 + 3;
+
+        let mut local = WalkHistory::new();
+        record(&mut local, &base);
+        check("walk", &local, &candidates, steps, |v, t| {
+            reference(&base, v, t)
+        });
+
+        let shared = Arc::new(SharedWalkHistory::new());
+        let mut merged = WalkHistory::new();
+        record(&mut merged, &shared_walks);
+        shared.merge(&merged);
+        check("shared", &*shared, &candidates, steps, |v, t| {
+            reference(&shared_walks, v, t)
+        });
+
+        let store = HistoryStore::new();
+        let key = HistoryKey {
+            start: NodeId(0),
+            kind: RandomWalkKind::Simple,
+        };
+        // An empty walk set is refused, and reads as an empty snapshot.
+        store.publish(key, &local, 1);
+        let frozen = store.snapshot(&key).unwrap_or_default();
+        check("frozen", &*frozen, &candidates, steps, |v, t| {
+            reference(&base, v, t)
+        });
+
+        let live =
+            |v: NodeId, t: usize| reference(&shared_walks, v, t) + reference(&pending_walks, v, t);
+        let mut overlay = HistoryHandle::shared(Arc::clone(&shared));
+        for walk in &pending_walks {
+            overlay.record_walk(walk);
+        }
+        check("overlay", &overlay.view(), &candidates, steps, live);
+
+        for correction in [ReuseCorrection::Reweighted, ReuseCorrection::Raw] {
+            let mut seeded =
+                HistoryHandle::seeded(Arc::clone(&frozen), correction, Arc::clone(&shared));
+            for walk in &pending_walks {
+                seeded.record_walk(walk);
+            }
+            check(
+                correction.label(),
+                &seeded.view(),
+                &candidates,
+                steps,
+                |v, t| correction.apply(reference(&base, v, t)) + live(v, t),
+            );
+        }
+    }
+}
+
 /// A cooperative engine job's accepted-node multiset is pinned to the
 /// width-1 oracle at pool widths 1, 2, and 4 — the engine-level face of the
 /// merge-order independence above.
