@@ -17,9 +17,17 @@
 //!   of them performs (and is charged for) the inner query — this is what
 //!   makes `QueryStats::unique_nodes` exact under contention, with no
 //!   double-charging and no lost updates;
-//! * counters use the same [`QueryCounter`] as the rest of the access layer,
-//!   whose internal mutex is independent of the shard locks (no lock-order
-//!   cycles: shard → counter only).
+//! * a hit clones the cached list's [`Arc`] under the shard lock — no list
+//!   copy, no allocation — and the list itself is read after the lock is
+//!   released;
+//! * the counters are relaxed atomics (`AtomicStats`), not a second
+//!   lock: the shard maps already know which nodes were fetched, so the
+//!   cache keeps no visited set of its own. `unique_nodes` grows once per
+//!   inserted entry, and only the one walker whose miss inserted a node's
+//!   entry (under its shard lock) records that charge, so each node counts
+//!   exactly once. The charge itself is recorded after the lock is
+//!   released, so a live [`query_stats`](SocialNetwork::query_stats) read
+//!   may briefly trail the maps; it is exact once the walkers are joined.
 //!
 //! Failed inner queries (budget exhaustion, unknown node) are never cached,
 //! so a walker retrying after an error observes the wrapped network's fresh
@@ -34,13 +42,12 @@
 //! call index, keeping it (and everything sampled through the cache)
 //! deterministic under concurrency.
 
-use crate::counter::{QueryCounter, QueryStats};
+use crate::counter::{AtomicStats, QueryStats};
 use crate::interface::SocialNetwork;
 use crate::sync::lock;
 use crate::Result;
-use std::collections::HashMap;
-use std::sync::Mutex;
-use wnw_graph::NodeId;
+use std::sync::{Arc, Mutex};
+use wnw_graph::{NodeId, NodeMap};
 
 /// Number of independent cache shards. A power of two so the shard index is
 /// a mask; 64 keeps contention negligible for worker pools far larger than
@@ -60,8 +67,8 @@ pub const SHARD_COUNT: usize = 64;
 #[derive(Debug)]
 pub struct CachedNetwork<N> {
     inner: N,
-    shards: Vec<Mutex<HashMap<NodeId, Vec<NodeId>>>>,
-    counter: QueryCounter,
+    shards: Vec<Mutex<NodeMap<Arc<[NodeId]>>>>,
+    stats: AtomicStats,
 }
 
 impl<N: SocialNetwork> CachedNetwork<N> {
@@ -70,9 +77,9 @@ impl<N: SocialNetwork> CachedNetwork<N> {
         CachedNetwork {
             inner,
             shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(NodeMap::default()))
                 .collect(),
-            counter: QueryCounter::unlimited(),
+            stats: AtomicStats::default(),
         }
     }
 
@@ -102,49 +109,43 @@ impl<N: SocialNetwork> CachedNetwork<N> {
         // (Fibonacci hashing) so consecutive ids spread across shards.
         (((v.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (SHARD_COUNT - 1)
     }
-
-    /// Answers one walker access from `v`'s cached list, fetching and
-    /// caching it on a miss; `read` sees the list under the shard lock, so a
-    /// hit copies only what `read` returns.
-    fn with_list<T>(&self, v: NodeId, read: impl FnOnce(&[NodeId]) -> T) -> Result<T> {
-        let shard = &self.shards[Self::shard_of(v)];
-        let mut guard = lock(shard);
-        if let Some(cached) = guard.get(&v) {
-            let answer = read(cached);
-            drop(guard);
-            // Served locally: counts as an api call + cache hit, never as a
-            // new unique node (the entry's presence implies it was recorded).
-            let _ = self.counter.record_neighbor_query(v);
-            return Ok(answer);
-        }
-        // Miss: fetch while holding the shard lock so a racing walker cannot
-        // issue a duplicate inner query for the same node.
-        let list = self.inner.neighbors(v)?;
-        let answer = read(&list);
-        guard.insert(v, list);
-        drop(guard);
-        self.counter
-            .record_neighbor_query(v)
-            .expect("cache counter is unlimited and each node is recorded once");
-        Ok(answer)
-    }
 }
 
 impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        self.with_list(v, <[NodeId]>::to_vec)
+        Ok(self.neighbor_list(v)?.to_vec())
+    }
+
+    /// Answers from `v`'s cached list, fetching and caching it on a miss.
+    /// A hit is an [`Arc`] clone; a failed inner query caches and charges
+    /// nothing.
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        let mut shard = lock(&self.shards[Self::shard_of(v)]);
+        if let Some(cached) = shard.get(&v) {
+            let list = Arc::clone(cached);
+            drop(shard);
+            self.stats.record_hit();
+            return Ok(list);
+        }
+        // Miss: fetch while holding the shard lock so a racing walker cannot
+        // issue a duplicate inner query for the same node.
+        let list = self.inner.neighbor_list(v)?;
+        shard.insert(v, Arc::clone(&list));
+        drop(shard);
+        self.stats.record_charge();
+        Ok(list)
     }
 
     /// Metered and cached exactly like [`neighbors`](SocialNetwork::neighbors)
     /// (a miss fetches and caches the full list), but a hit reads the length
     /// without copying the list.
     fn degree(&self, v: NodeId) -> Result<usize> {
-        self.with_list(v, <[NodeId]>::len)
+        Ok(self.neighbor_list(v)?.len())
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         let value = self.inner.attribute(name, v)?;
-        self.counter.record_attribute_read();
+        self.stats.record_attribute_read();
         Ok(value)
     }
 
@@ -153,14 +154,14 @@ impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
     }
 
     fn query_stats(&self) -> QueryStats {
-        self.counter.stats()
+        self.stats.snapshot()
     }
 
     fn reset_counters(&self) {
         for shard in &self.shards {
             lock(shard).clear();
         }
-        self.counter.reset();
+        self.stats.reset();
         self.inner.reset_counters();
     }
 
@@ -227,6 +228,29 @@ mod tests {
             by_degree.neighbors(NodeId(3)).unwrap(),
             vec![NodeId(2), NodeId(4)]
         );
+    }
+
+    #[test]
+    fn neighbor_list_matches_neighbors_and_hits_share_one_list() {
+        let inner = || {
+            SimulatedOsn::builder(cycle(6))
+                .budget(QueryBudget(2))
+                .build()
+        };
+        let by_list = CachedNetwork::new(inner());
+        let by_vec = CachedNetwork::new(inner());
+        // 2 is past the inner budget, 9 is unknown: neither is charged.
+        for v in [0, 3, 0, 2, 9, 3] {
+            let list = by_list.neighbor_list(NodeId(v));
+            let vec = by_vec.neighbors(NodeId(v));
+            assert_eq!(list.map(|l| l.to_vec()), vec);
+            assert_eq!(by_list.query_stats(), by_vec.query_stats());
+        }
+        assert_eq!(by_list.query_cost(), 2);
+        assert_eq!(by_list.inner().query_stats(), by_vec.inner().query_stats());
+        let first = by_list.neighbor_list(NodeId(0)).unwrap();
+        let second = by_list.neighbor_list(NodeId(0)).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "a hit is the cached list");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::counter::QueryStats;
 use crate::Result;
+use std::sync::Arc;
 use wnw_graph::NodeId;
 
 /// A social network reachable only through local-neighborhood queries.
@@ -18,6 +19,15 @@ pub trait SocialNetwork {
     /// Returns the neighbor list `N(v)` of node `v`, charging the query cost
     /// if `v` has not been fetched before.
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>>;
+
+    /// Returns `N(v)` as a shared list, charged exactly like
+    /// [`neighbors`](Self::neighbors). The default copies the owned list
+    /// once; a layer that already holds the list (a cache) returns its own
+    /// handle, so a hot walker step clones a pointer instead of the list.
+    /// Wrappers forward it so that handle reaches the walker.
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        Ok(self.neighbors(v)?.into())
+    }
 
     /// Returns the degree `|N(v)|`, charging the same cost as
     /// [`neighbors`](Self::neighbors) (the interface returns the full list;
@@ -73,6 +83,9 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for &N {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
         (**self).neighbors(v)
     }
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        (**self).neighbor_list(v)
+    }
     fn degree(&self, v: NodeId) -> Result<usize> {
         (**self).degree(v)
     }
@@ -95,9 +108,12 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for &N {
 
 /// Blanket implementation so `Arc<N>` works wherever `N: SocialNetwork`
 /// does — the natural shape for handles shared by walker threads.
-impl<N: SocialNetwork + ?Sized> SocialNetwork for std::sync::Arc<N> {
+impl<N: SocialNetwork + ?Sized> SocialNetwork for Arc<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
         (**self).neighbors(v)
+    }
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        (**self).neighbor_list(v)
     }
     fn degree(&self, v: NodeId) -> Result<usize> {
         (**self).degree(v)
@@ -129,13 +145,65 @@ mod tests {
 
     #[test]
     fn arc_impl_delegates_and_is_threaded() {
-        let osn = std::sync::Arc::new(SimulatedOsn::new(cycle(5)));
+        let osn = Arc::new(SimulatedOsn::new(cycle(5)));
         assert_eq!(osn.degree(NodeId(0)).unwrap(), 2);
         assert_eq!(osn.query_cost(), 1);
         assert_eq!(osn.node_count_hint(), Some(5));
         assert_threaded(&osn);
         osn.reset_counters();
         assert_eq!(osn.query_cost(), 0);
+    }
+
+    /// A backend implementing only the required methods, so
+    /// `neighbor_list` is the provided default.
+    struct VecOnly(SimulatedOsn);
+
+    impl SocialNetwork for VecOnly {
+        fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
+            self.0.neighbors(v)
+        }
+        fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
+            self.0.attribute(name, v)
+        }
+        fn seed_node(&self) -> NodeId {
+            self.0.seed_node()
+        }
+        fn query_stats(&self) -> QueryStats {
+            self.0.query_stats()
+        }
+        fn reset_counters(&self) {
+            self.0.reset_counters()
+        }
+    }
+
+    #[test]
+    fn default_neighbor_list_matches_neighbors() {
+        use crate::counter::QueryBudget;
+        let osn = || {
+            SimulatedOsn::builder(cycle(5))
+                .budget(QueryBudget(2))
+                .build()
+        };
+        let (by_list, by_vec) = (VecOnly(osn()), osn());
+        // 2 is over budget and 9 is unknown: both fail without a charge.
+        for v in [0, 1, 0, 2, 9, 1] {
+            let list = by_list.neighbor_list(NodeId(v));
+            assert_eq!(list.map(|l| l.to_vec()), by_vec.neighbors(NodeId(v)));
+            assert_eq!(by_list.query_stats(), by_vec.query_stats());
+        }
+        assert_eq!(by_list.query_cost(), 2);
+        // `&N` and `Arc<N>` forward it.
+        let shared = Arc::new(osn());
+        let by_ref = &*shared;
+        let expected = vec![NodeId(1), NodeId(4)];
+        assert_eq!(
+            SocialNetwork::neighbor_list(&by_ref, NodeId(0))
+                .unwrap()
+                .to_vec(),
+            expected
+        );
+        assert_eq!(shared.neighbor_list(NodeId(0)).unwrap().to_vec(), expected);
+        assert_eq!(shared.query_stats().api_calls, 2);
     }
 
     #[test]

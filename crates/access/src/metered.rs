@@ -65,30 +65,21 @@ impl<N: SocialNetwork> MeteredNetwork<N> {
         self.counter.clone()
     }
 
-    /// Runs one neighbor-list access (`query` is the inner `neighbors` or
-    /// `degree`) under this view's budget and accounting.
-    ///
-    /// The budget is enforced *before* the inner query, but the charge is
-    /// recorded only *after* it succeeds: a failed query (rate limit,
-    /// unknown node) must not consume budget or mark the node as visited,
-    /// or a later successful retry would be mis-counted as free.
+    /// Runs one neighbor-list access (`query` is the inner `neighbors`,
+    /// `neighbor_list` or `degree`) under this view's budget and accounting
+    /// (see [`QueryCounter::metered`] for the order of check and charge).
     fn metered<T>(&self, v: NodeId, query: impl FnOnce(&N) -> Result<T>) -> Result<T> {
-        if !self.counter.admits(v) {
-            return Err(crate::AccessError::BudgetExhausted {
-                budget: self.counter.budget().0,
-            });
-        }
-        let answer = query(&self.inner)?;
-        self.counter
-            .record_neighbor_query(v)
-            .expect("budget was checked before the inner query");
-        Ok(answer)
+        self.counter.metered(v, || query(&self.inner))
     }
 }
 
 impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
         self.metered(v, |inner| inner.neighbors(v))
+    }
+
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        self.metered(v, |inner| inner.neighbor_list(v))
     }
 
     /// Charged exactly like [`neighbors`](SocialNetwork::neighbors), but
@@ -178,6 +169,25 @@ mod tests {
             by_degree.degree(NodeId(2)),
             Err(AccessError::BudgetExhausted { budget: 2 })
         ));
+    }
+
+    #[test]
+    fn neighbor_list_is_charged_like_neighbors() {
+        let cache = CachedNetwork::new(SimulatedOsn::new(complete(5)));
+        let by_list = MeteredNetwork::with_budget(&cache, QueryBudget(2));
+        let by_vec = MeteredNetwork::with_budget(SimulatedOsn::new(complete(5)), QueryBudget(2));
+        // 9 is unknown (fails below, charges nothing); 2 is over budget.
+        for v in [0, 9, 1, 0, 2, 1, 9] {
+            let list = by_list.neighbor_list(NodeId(v));
+            let vec = by_vec.neighbors(NodeId(v));
+            assert_eq!(list.map(|l| l.to_vec()), vec);
+            assert_eq!(by_list.query_stats(), by_vec.query_stats());
+        }
+        assert_eq!(by_list.query_stats().cache_hits, 2);
+        // Hits through the view still hand out the cache's own list.
+        let first = by_list.neighbor_list(NodeId(1)).unwrap();
+        let second = by_list.neighbor_list(NodeId(1)).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::counter::QueryStats;
 use crate::interface::SocialNetwork;
 use crate::Result;
+use std::sync::Arc;
 use wnw_graph::NodeId;
 
 /// A [`SocialNetwork`] wrapper that answers [`seed_node`] with a chosen
@@ -42,6 +43,10 @@ impl<N: SocialNetwork> Rebased<N> {
 impl<N: SocialNetwork> SocialNetwork for Rebased<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
         self.inner.neighbors(v)
+    }
+
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        self.inner.neighbor_list(v)
     }
 
     fn degree(&self, v: NodeId) -> Result<usize> {

@@ -83,8 +83,9 @@ impl SimulatedOsn {
         self.restriction
     }
 
-    /// Fetches the restricted neighbor view of `v`, charging the query.
-    fn fetch_restricted(&self, v: NodeId) -> Result<Vec<NodeId>> {
+    /// Charges a neighbor query for `v` and returns how often `v` had been
+    /// fetched before (the restriction's per-node call index).
+    fn charge(&self, v: NodeId) -> Result<u64> {
         if !self.graph.contains(v) {
             return Err(AccessError::UnknownNode(v));
         }
@@ -98,13 +99,16 @@ impl SimulatedOsn {
             self.counter.record_neighbor_query(v)?;
             self.limiter.record_call();
         }
-        let invocation = {
-            let mut counts = lock(&self.fetch_counts);
-            let entry = counts.entry(v).or_insert(0);
-            let current = *entry;
-            *entry += 1;
-            current
-        };
+        let mut counts = lock(&self.fetch_counts);
+        let entry = counts.entry(v).or_insert(0);
+        let invocation = *entry;
+        *entry += 1;
+        Ok(invocation)
+    }
+
+    /// Fetches the restricted neighbor view of `v`, charging the query.
+    fn fetch_restricted(&self, v: NodeId) -> Result<Vec<NodeId>> {
+        let invocation = self.charge(v)?;
         let full = self.graph.neighbors(v);
         let restricted = self
             .restriction
@@ -144,6 +148,17 @@ impl SocialNetwork for SimulatedOsn {
             }
         }
         Ok(mutual)
+    }
+
+    /// Charged exactly like [`neighbors`](SocialNetwork::neighbors). With
+    /// no restriction the shared list is built straight from the graph's
+    /// slice: one copy, where the default would copy the owned list again.
+    fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+        if self.restriction != NeighborRestriction::Full {
+            return Ok(self.neighbors(v)?.into());
+        }
+        self.charge(v)?;
+        Ok(self.graph.neighbors(v).into())
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
@@ -250,6 +265,29 @@ mod tests {
         osn.neighbors(NodeId(1)).unwrap();
         assert_eq!(osn.query_cost(), 2);
         assert_eq!(osn.query_stats().api_calls, 3);
+    }
+
+    #[test]
+    fn neighbor_list_matches_neighbors_with_and_without_restriction() {
+        for restriction in [
+            NeighborRestriction::Full,
+            NeighborRestriction::RandomSubset { k: 3 },
+        ] {
+            let osn = || {
+                SimulatedOsn::builder(complete(6))
+                    .budget(QueryBudget(2))
+                    .restriction(restriction)
+                    .build()
+            };
+            let (by_list, by_vec) = (osn(), osn());
+            // 2 is over budget and 9 is unknown: both fail without a charge.
+            for v in [0, 1, 0, 2, 9, 1] {
+                let list = by_list.neighbor_list(NodeId(v));
+                assert_eq!(list.map(|l| l.to_vec()), by_vec.neighbors(NodeId(v)));
+                assert_eq!(by_list.query_stats(), by_vec.query_stats());
+            }
+            assert_eq!(by_list.query_cost(), 2);
+        }
     }
 
     #[test]

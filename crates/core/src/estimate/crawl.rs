@@ -17,6 +17,7 @@
 //! neighborhood, so most of these nodes are already cached (Section 5.2).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
 use wnw_mcmc::RandomWalkKind;
@@ -46,14 +47,14 @@ impl InitialCrawl {
         // Breadth-first crawl up to `depth`, keeping each node's neighbor
         // list so transition probabilities can be computed exactly.
         let mut dist: HashMap<NodeId, usize> = HashMap::new();
-        let mut adjacency: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let mut adjacency: HashMap<NodeId, Arc<[NodeId]>> = HashMap::new();
         let mut queue = std::collections::VecDeque::new();
         dist.insert(start, 0);
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
             let du = dist[&u];
-            let neighbors = osn.neighbors(u)?;
-            for &v in &neighbors {
+            let neighbors = osn.neighbor_list(u)?;
+            for &v in neighbors.iter() {
                 if du < depth && !dist.contains_key(&v) {
                     dist.insert(v, du + 1);
                     queue.push_back(v);
@@ -79,7 +80,7 @@ impl InitialCrawl {
                     continue;
                 }
                 let mut outgoing = 0.0;
-                for &v in neighbors {
+                for &v in neighbors.iter() {
                     // v is within `depth` hops, so its degree is known.
                     let dv = degrees[&v];
                     let p = kind.edge_probability(du, dv);

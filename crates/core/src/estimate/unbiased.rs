@@ -29,6 +29,7 @@ use crate::estimate::crawl::InitialCrawl;
 use crate::estimate::weighted;
 use crate::history::HistoryView;
 use rand::Rng;
+use std::borrow::Cow;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
 use wnw_mcmc::RandomWalkKind;
@@ -82,7 +83,7 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
             return Ok(if current == start { factor } else { 0.0 });
         }
 
-        let neighbors = osn.neighbors(current)?;
+        let neighbors = osn.neighbor_list(current)?;
         if neighbors.is_empty() {
             // An isolated node can only be reached by starting on it; the
             // walk cannot have arrived here from anywhere else.
@@ -90,11 +91,17 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
         }
         let degree_current = neighbors.len();
 
-        // Predecessor candidates: all nodes with T(·, current) > 0.
-        let mut candidates = neighbors.clone();
-        if kind.has_self_loops() {
-            candidates.push(current);
-        }
+        // Predecessor candidates: all nodes with T(·, current) > 0. Without
+        // self-loops that is the neighbor list itself, borrowed; only MHRW
+        // builds list + self.
+        let candidates: Cow<'_, [NodeId]> = if kind.has_self_loops() {
+            let mut with_self = Vec::with_capacity(neighbors.len() + 1);
+            with_self.extend_from_slice(&neighbors);
+            with_self.push(current);
+            Cow::Owned(with_self)
+        } else {
+            Cow::Borrowed(&neighbors)
+        };
 
         // Selection distribution over the candidates.
         let probs = match options.weighting {
@@ -120,7 +127,7 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
             const SELF_LOOP_NEIGHBOR_SAMPLE: usize = 8;
             let neighbor_degrees = if neighbors.len() <= SELF_LOOP_NEIGHBOR_SAMPLE {
                 let mut all = Vec::with_capacity(neighbors.len());
-                for &w in &neighbors {
+                for &w in neighbors.iter() {
                     all.push(osn.degree(w)?);
                 }
                 all

@@ -5,11 +5,12 @@
 //! sample (reading a frozen shared-history snapshot), then every walker's
 //! pending walks are merged into the shared history.
 //! [`Engine::run`](crate::Engine::run) drives a fresh driver to completion;
-//! the multi-job
-//! scheduler in `wnw-service` instead *interleaves* rounds of many drivers
-//! over one thread pool, which is what makes fair scheduling, streaming
-//! delivery, and mid-job cancellation possible without giving up the
-//! per-job determinism argument (see [`engine`](crate::engine)).
+//! the multi-job scheduler in `wnw-service` instead *interleaves* rounds of
+//! many drivers over one thread pool, stepping one round of several drivers
+//! as a single pool batch ([`JobDriver::step_rounds`]), which is what makes
+//! fair scheduling, streaming delivery, and mid-job cancellation possible
+//! without giving up the per-job determinism argument (see
+//! [`engine`](crate::engine)).
 //!
 //! Determinism of a round: draws touch only (a) the walker's own state and
 //! RNG stream, (b) the cache handle — whose answers are a pure function of
@@ -248,32 +249,50 @@ impl<'a> JobDriver<'a> {
         }
     }
 
-    /// Runs one round: every live walker draws once, fanned over `pool`'s
-    /// lanes, then all walkers flush pending shared state (sequentially, in
+    /// Runs one round of this job: [`step_rounds`](Self::step_rounds) over
+    /// a batch of one.
+    pub fn step_round(&mut self, pool: &WorkerPool) {
+        Self::step_rounds(&mut [self], pool);
+    }
+
+    /// Runs one round of every job in `drivers` as **one** pool batch: every
+    /// live walker of every job draws once, each walker its own pool task,
+    /// then each job's walkers flush pending shared state (sequentially, in
     /// walker order — the merges are additive, so this choice is invisible
-    /// to the result). No-op when the job is done.
+    /// to the result). Jobs that are already done are skipped and their
+    /// round count does not move.
     ///
-    /// The pool's round barrier is the round's draw barrier: every draw has
-    /// finished before any flush starts. Rounds with a single live walker —
-    /// 1-walker jobs, and any job wound down to its last live walker — run
-    /// inline on the caller (the pool's spawnless fast path), so they never
-    /// touch the worker threads; the per-walker `catch_unwind` around every
-    /// draw means a panicking sampler never unwinds into the pool. No OS
+    /// The pool's round barrier is every job's draw barrier: all of a job's
+    /// draws have finished before any of its walkers flushes, which is the
+    /// whole per-job determinism argument. Jobs share nothing a draw can
+    /// observe — each reads its own walkers, RNG streams, budget views and
+    /// history, plus cache answers that are pure functions of the node
+    /// asked — so batching several jobs changes only where and when their
+    /// draws run, never what they compute. A batch with a single live
+    /// walker runs inline on the caller (the pool's spawnless fast path);
+    /// the per-walker `catch_unwind` around every draw means a panicking
+    /// sampler never unwinds into the pool, nor into another job. No OS
     /// thread is ever spawned here: the pool's workers were spawned once,
     /// at pool startup.
-    pub fn step_round(&mut self, pool: &WorkerPool) {
-        {
-            let mut live: Vec<&mut WalkerState<'a>> =
-                self.walkers.iter_mut().filter(|s| s.live()).collect();
-            if live.is_empty() {
-                return;
+    pub fn step_rounds(drivers: &mut [&mut JobDriver<'a>], pool: &WorkerPool) {
+        let stepped: Vec<bool> = drivers.iter().map(|driver| !driver.is_done()).collect();
+        let mut live: Vec<&mut WalkerState<'a>> = drivers
+            .iter_mut()
+            .flat_map(|driver| driver.walkers.iter_mut().filter(|s| s.live()))
+            .collect();
+        if live.is_empty() {
+            return;
+        }
+        pool.round(&mut live, |state| state.draw_once());
+        drop(live);
+        for (driver, stepped) in drivers.iter_mut().zip(stepped) {
+            if stepped {
+                for state in &mut driver.walkers {
+                    state.flush_once();
+                }
+                driver.rounds += 1;
             }
-            pool.round(&mut live, |state| state.draw_once());
         }
-        for state in &mut self.walkers {
-            state.flush_once();
-        }
-        self.rounds += 1;
     }
 
     /// Tears the pool down into per-walker reports plus the panic payload of
@@ -467,6 +486,52 @@ mod tests {
             assert!(w.fatal.is_none());
             assert!(!w.budget_exhausted);
         }
+    }
+
+    #[test]
+    fn batched_rounds_match_each_job_stepped_alone() {
+        let osn = SimulatedOsn::new(barabasi_albert(300, 3, 4).unwrap());
+        let jobs = [
+            SampleJob::walk_estimate(RandomWalkKind::Simple, 12, 21).with_walkers(3),
+            SampleJob::walk_estimate(RandomWalkKind::MetropolisHastings, 5, 22).with_walkers(2),
+            SampleJob::walk_estimate(RandomWalkKind::Simple, 4, 23).with_walkers(1),
+        ]
+        .map(|job| job.with_diameter_estimate(4));
+        let outcome = |driver: JobDriver<'_>| {
+            let rounds = driver.rounds();
+            let (reports, payload) = driver.finish();
+            assert!(payload.is_none());
+            let mut nodes: Vec<u32> = reports
+                .iter()
+                .flat_map(|r| r.samples.iter().map(|s| s.node.0))
+                .collect();
+            nodes.sort_unstable();
+            (nodes, rounds)
+        };
+        let pool = WorkerPool::new(2);
+        let alone: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let mut driver = JobDriver::new(&osn, job);
+                while !driver.is_done() {
+                    driver.step_round(&pool);
+                }
+                outcome(driver)
+            })
+            .collect();
+        let mut drivers: Vec<JobDriver<'_>> =
+            jobs.iter().map(|job| JobDriver::new(&osn, job)).collect();
+        let mut batches = 0;
+        while drivers.iter().any(|d| !d.is_done()) {
+            // Done jobs stay in the batch: they are skipped, not stepped.
+            let mut batch: Vec<&mut JobDriver<'_>> = drivers.iter_mut().collect();
+            JobDriver::step_rounds(&mut batch, &pool);
+            batches += 1;
+        }
+        let batched: Vec<_> = drivers.into_iter().map(outcome).collect();
+        assert_eq!(batched, alone, "batching changed a job's samples or rounds");
+        let rounds = alone.iter().map(|(_, r)| *r).max().unwrap();
+        assert_eq!(batches, rounds, "one batch per round of the longest job");
     }
 
     #[test]

@@ -269,7 +269,7 @@ pub fn exposition(snapshot: &ServiceMetricsSnapshot) -> String {
     );
     exp.histogram(
         "wnw_round_duration_us",
-        "scheduler round duration in microseconds (empty with telemetry off)",
+        "scheduler batch duration in microseconds, one per wave of job rounds (empty with telemetry off)",
         &snapshot.round_duration_histogram,
     );
     exp.histogram(

@@ -1,7 +1,9 @@
 //! Forward random walks over the restricted access interface.
 //!
-//! A walker only ever calls [`SocialNetwork::neighbors`], so every step is
-//! charged exactly the way the paper charges it. MHRW additionally needs the
+//! A walker only ever asks for `N(v)` (through
+//! [`SocialNetwork::neighbor_list`], the shared-list form of
+//! [`SocialNetwork::neighbors`]), so every step is charged exactly the way
+//! the paper charges it. MHRW additionally needs the
 //! degree of the proposed neighbor to evaluate the acceptance ratio — a real
 //! extra query, which is part of why MHRW mixes (and spends) slower than SRW
 //! in practice (Section 8 cites the same observation from Gjoka et al.).
@@ -51,7 +53,7 @@ pub fn step<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     current: NodeId,
     rng: &mut R,
 ) -> Result<NodeId> {
-    let neighbors = osn.neighbors(current)?;
+    let neighbors = osn.neighbor_list(current)?;
     if neighbors.is_empty() {
         // An isolated node can only stay put; callers on connected graphs
         // never hit this.

@@ -1,7 +1,7 @@
 //! # wnw-runtime — persistent round-barrier worker pool
 //!
 //! The engine's schedule is a sequence of **rounds**: a batch of independent
-//! tasks (one per live walker, or one per repetition chunk) that must *all*
+//! tasks (one per live walker, or one per repetition) that must *all*
 //! complete before the next phase may start. Before this crate, every such
 //! round spawned and joined fresh OS threads through [`std::thread::scope`]
 //! — a service interleaving many jobs paid thread-creation cost on every
@@ -13,9 +13,10 @@
 //!
 //! Design points, in the order they matter:
 //!
-//! * **Barrier-precise.** A round's tasks are claimed from one shared queue
-//!   (no work stealing); the submitting call blocks until the last task
-//!   completes. Phase semantics are exactly those of the scoped-spawn code
+//! * **Barrier-precise.** A round's tasks are claimed one at a time from
+//!   one shared queue (no work stealing, no fixed per-lane chunks, so a
+//!   lane that finishes early takes the next task); the submitting call
+//!   blocks until the last task completes. Phase semantics are exactly those of the scoped-spawn code
 //!   it replaces, so the engine's determinism argument — per-request sample
 //!   multisets invariant to pool width and co-load — carries over verbatim:
 //!   the pool decides only *where* a task runs, never what it computes.

@@ -161,16 +161,19 @@ impl WorkerPool {
         }
     }
 
-    /// Runs one round: applies `f` to every item, fanned over the pool's
-    /// lanes in contiguous chunks, returning only when all items are done
-    /// (the round barrier). Which lane processes which chunk is invisible to
-    /// the result — `f` only ever touches the item it is handed.
+    /// Runs one round: applies `f` to every item, one task per item, and
+    /// returns only when all items are done (the round barrier). Lanes claim
+    /// items one at a time from the shared queue, so a lane that finishes a
+    /// cheap item takes the next one while a slow item is still running —
+    /// no lane idles on a fixed chunk. Which lane processes which item is
+    /// invisible to the result — `f` only ever touches the item it is
+    /// handed.
     ///
     /// Single-item batches and width-1 pools run inline on the caller with
     /// no synchronization (the spawnless fast path). If `f` panics, the
-    /// panic of the lowest-indexed item propagates to the caller — after
-    /// the barrier on the dispatched path, immediately (skipping later
-    /// items) on the inline path.
+    /// panic of the lowest-indexed item propagates to the caller: on the
+    /// dispatched path after the barrier, every other item having run; on
+    /// the inline path immediately, skipping later items.
     pub fn round<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -186,18 +189,10 @@ impl WorkerPool {
             }
             return;
         }
-        let lanes = self.width.min(items.len());
-        let per_lane = items.len().div_ceil(lanes);
         let f = &f;
         let tasks: Vec<Task<'_>> = items
-            .chunks_mut(per_lane)
-            .map(|chunk| {
-                Box::new(move || {
-                    for item in chunk {
-                        f(item);
-                    }
-                }) as Task<'_>
-            })
+            .iter_mut()
+            .map(|item| Box::new(move || f(item)) as Task<'_>)
             .collect();
         self.dispatch(tasks);
     }
@@ -503,8 +498,31 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_item_skips_no_other_item() {
+        // Each item is its own task, so item 0's panic cannot skip the
+        // items a lane would otherwise have run after it.
+        let pool = WorkerPool::new(2);
+        let ran = [(); 4].map(|_| AtomicUsize::new(0));
+        let mut items: Vec<usize> = (0..4).collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.round(&mut items, |i| {
+                if *i == 0 {
+                    panic!("item 0 exploded");
+                }
+                ran[*i].fetch_add(1, Ordering::Relaxed);
+            });
+        }));
+        let payload = outcome.expect_err("item 0's panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("item 0 exploded")
+        );
+        let ran: Vec<usize> = ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        assert_eq!(ran, vec![0, 1, 1, 1], "items 1-3 each ran exactly once");
+    }
+
+    #[test]
     fn lowest_index_panic_wins() {
-        // One task per lane so both panicking chunks are distinct tasks.
         let pool = WorkerPool::new(4);
         for _ in 0..8 {
             let mut items: Vec<usize> = (0..4).collect();

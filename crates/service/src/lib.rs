@@ -13,7 +13,9 @@
 //!   thread interleaves all active jobs **round by round** over one
 //!   persistent [`wnw_runtime::WorkerPool`] spawned at service startup —
 //!   after that, no round ever spawns an OS thread (the pool's counters in
-//!   [`ServiceMetricsSnapshot::worker_pool`] make this observable).
+//!   [`ServiceMetricsSnapshot::worker_pool`] make this observable). The
+//!   rounds of one scheduling wave, one per job, run as a single pool
+//!   batch, so the pool's lanes claim walkers across jobs.
 //!   Interleaving is weighted by [`Priority`] and normalized by each job's
 //!   *measured per-round query cost*: a job whose rounds cost `k×` the
 //!   cheapest active job's gets `weight / k` rounds per cycle (never less

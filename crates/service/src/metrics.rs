@@ -113,9 +113,11 @@ impl ServiceMetrics {
         self.first_sample.record_duration(elapsed);
     }
 
-    /// Records one scheduler round's wall-clock duration. Only called when
-    /// the scheduler's `telemetry` flag is on — this is the one recording
-    /// site on the per-round hot path.
+    /// Records one scheduler batch's wall-clock duration: one wave of a
+    /// cycle, which steps every job in it by one round in a single pool
+    /// batch, so it is one sample per batch, not per job-round. Only called
+    /// when the scheduler's `telemetry` flag is on — this is the one
+    /// recording site on the per-batch hot path.
     pub(crate) fn on_round(&self, duration: Duration) {
         self.round_duration.record_duration(duration);
     }
@@ -301,8 +303,11 @@ pub struct ServiceMetricsSnapshot {
     pub first_sample_histogram: HistogramSnapshot,
     /// Distribution of per-job unique-node query costs over finished jobs.
     pub job_cost_histogram: HistogramSnapshot,
-    /// Distribution of scheduler round durations (microseconds). Empty when
-    /// the service runs with telemetry off.
+    /// Distribution of scheduler batch durations (microseconds): one sample
+    /// per wave, where a wave steps every job in it by one round in one pool
+    /// batch. Its count is therefore the number of batches run, which is
+    /// below the sum of the jobs' rounds whenever jobs share waves. Empty
+    /// when the service runs with telemetry off.
     pub round_duration_histogram: HistogramSnapshot,
 }
 

@@ -1,15 +1,20 @@
 //! The batched multi-job scheduler.
 //!
 //! One scheduler thread owns every admitted job and advances them in
-//! **scheduling cycles**: each cycle walks the active set in admission
-//! order and hands every job up to [`Priority::weight`] rounds, where one
-//! round moves every live walker of that job one sample forward on the
-//! service's shared, persistent [`WorkerPool`] (see
-//! [`JobDriver::step_round`]) — one pool serves every in-flight job, so no
-//! round ever spawns an OS thread. Round interleaving is what keeps the
-//! service fair — a 10 000-sample job advances one round, then a 10-sample
-//! job advances one round — and priority weights tilt the ratio without
-//! ever starving anyone.
+//! **scheduling cycles**: each cycle hands every active job up to
+//! [`Priority::weight`] rounds, where one round moves every live walker of
+//! that job one sample forward on the service's shared, persistent
+//! [`WorkerPool`] — one pool serves every in-flight job, so no round ever
+//! spawns an OS thread. A cycle runs in **waves**: wave `k` takes one round
+//! of every job whose allotment exceeds `k`, and runs all of those rounds
+//! as one pool batch (see [`JobDriver::step_rounds`]), each walker its own
+//! task. The pool's lanes claim walkers across jobs, so a job whose
+//! walkers happen to need many acceptance-rejection attempts this round
+//! does not leave a lane idle while the next job waits behind it. Round
+//! interleaving is what keeps the service fair — a 10 000-sample job
+//! advances one round, and a 10-sample job advances one round in the same
+//! wave — and priority weights tilt the ratio without ever starving
+//! anyone.
 //!
 //! **Cost-weighted fairness.** Rounds are not equal: a 16-walker crawl of a
 //! hub-heavy region spends far more queries per round than a 1-walker job.
@@ -37,8 +42,13 @@
 //! shared policies are deterministic given an admission order, and the
 //! default isolated policy keeps today's co-load invariance untouched.
 //!
+//! Batching keeps that argument whole: within a batch each job's walkers
+//! all finish drawing before any of them flushes, and nothing a draw reads
+//! belongs to another job, so a job's multiset does not depend on which
+//! jobs share its waves.
+//!
 //! Cancellation (explicit, deadline, or the consumer dropping its stream)
-//! is checked before every round; a stopped job keeps the samples it
+//! is checked before every wave; a stopped job keeps the samples it
 //! already delivered and refunds its unused budget in the outcome.
 
 use crate::metrics::ServiceMetrics;
@@ -559,6 +569,13 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
     /// cost-weighted round allotment (priority weight, normalized by the
     /// job's measured per-round query cost — see [`cost_weighted_rounds`]),
     /// then terminal jobs are finalized and retired.
+    ///
+    /// The cycle runs in **waves**: wave `k` steps every non-terminal job
+    /// whose allotment exceeds `k` by one round, all of them in one pool
+    /// batch ([`JobDriver::step_rounds`]), so the pool's lanes claim walkers
+    /// across jobs instead of idling behind one job's straggler. Interrupts
+    /// are checked before each wave and every stepped job is pumped after
+    /// it, so cancellation and streaming keep round-boundary granularity.
     fn cycle(&mut self) {
         // The cheapest measured per-round cost in this cycle's active set
         // is the normalization baseline: that job keeps its full weight.
@@ -569,26 +586,46 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
             .fold(None, |best: Option<f64>, cost| {
                 Some(best.map_or(cost, |b| b.min(cost)))
             });
-        for job in &mut self.active {
-            let allotment =
-                cost_weighted_rounds(job.priority.weight(), job.mean_round_cost(), cheapest);
-            for _ in 0..allotment {
-                job.check_interrupts();
-                if job.terminal() {
-                    break;
-                }
+        let allotments: Vec<usize> = self
+            .active
+            .iter()
+            .map(|job| cost_weighted_rounds(job.priority.weight(), job.mean_round_cost(), cheapest))
+            .collect();
+        let waves = allotments.iter().copied().max().unwrap_or(0);
+        for wave in 0..waves {
+            let mut batch: Vec<&mut ActiveJob> = self
+                .active
+                .iter_mut()
+                .zip(&allotments)
+                .filter_map(|(job, &allotment)| {
+                    if allotment <= wave {
+                        return None;
+                    }
+                    job.check_interrupts();
+                    (!job.terminal()).then_some(job)
+                })
+                .collect();
+            if batch.is_empty() {
+                break;
+            }
+            for job in &batch {
                 if job.driver.rounds() == 0 {
                     self.trace.record(job.id.0, TraceEventKind::FirstRound);
                 }
-                // Per-round timing is the one telemetry cost on the hot
-                // path; it is gated so a latency-critical deployment can
-                // shed the two clock reads per round.
-                let round_start = self.config.telemetry.then(Instant::now);
-                job.driver.step_round(&self.pool);
-                if let Some(start) = round_start {
-                    self.metrics.on_round(start.elapsed());
-                }
-                job.pump(self.cache.query_stats(), &self.metrics, &self.trace);
+            }
+            // Per-batch timing is the one telemetry cost on the hot path;
+            // it is gated so a latency-critical deployment can shed the two
+            // clock reads per wave.
+            let round_start = self.config.telemetry.then(Instant::now);
+            let mut drivers: Vec<&mut JobDriver<'static>> =
+                batch.iter_mut().map(|job| &mut job.driver).collect();
+            JobDriver::step_rounds(&mut drivers, &self.pool);
+            if let Some(start) = round_start {
+                self.metrics.on_round(start.elapsed());
+            }
+            let pool_stats = self.cache.query_stats();
+            for job in batch {
+                job.pump(pool_stats, &self.metrics, &self.trace);
             }
         }
         let jobs = std::mem::take(&mut self.active);

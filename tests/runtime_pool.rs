@@ -2,7 +2,7 @@
 //! zero-spawn guarantee (observable through [`PoolStats`]), the inline fast
 //! path for width-1 and wound-down jobs, determinism of pool execution vs
 //! the scoped-spawn dispatch it replaced, and the service-level round
-//! accounting that ties every scheduled round to exactly one pool round.
+//! accounting that ties every scheduler batch to exactly one pool round.
 
 use std::sync::Arc;
 use walk_not_wait::engine::{scatter_map, Engine, SampleJob};
@@ -177,46 +177,85 @@ fn engine_multisets_invariant_to_pool_width() {
     }
 }
 
-/// Service-level accounting: every round the scheduler steps lands on the
-/// shared pool exactly once — dispatched or spawnless — so the pool's
-/// counters reconcile with the jobs' reported round totals, and the
-/// snapshot surfaces them.
+/// Service-level accounting: every scheduler batch lands on the shared pool
+/// exactly once — dispatched or spawnless — and the snapshot surfaces the
+/// counters. With one active job a batch is one of its rounds, so the pool
+/// counters add up to the jobs' round totals. Co-admitted jobs share
+/// batches (one wave steps each of them by a round), so the counters add up
+/// to the waves run — the round-duration histogram's count, one sample per
+/// batch — which is then fewer than the jobs' rounds.
 #[test]
 fn service_rounds_reconcile_with_pool_counters() {
-    let service = SamplingService::builder(osn(500, 41))
-        .pool_threads(2)
-        .max_active(2)
-        .build();
-    let wide = service
-        .submit(SampleRequest::new(
+    let wide_job = || {
+        SampleRequest::new(
             walk_not_wait::engine::SampleJob::walk_estimate(RandomWalkKind::Simple, 20, 1)
                 .with_walkers(4)
                 .with_diameter_estimate(4),
-        ))
-        .unwrap();
-    let narrow = service
-        .submit(SampleRequest::new(
+        )
+    };
+    let narrow_job = || {
+        SampleRequest::new(
             walk_not_wait::engine::SampleJob::walk_estimate(RandomWalkKind::Simple, 6, 2)
                 .with_walkers(1)
                 .with_diameter_estimate(4),
-        ))
-        .unwrap();
+        )
+    };
+
+    // One active job at a time: one batch per job-round.
+    let service = SamplingService::builder(osn(500, 41))
+        .pool_threads(2)
+        .max_active(1)
+        .build();
+    let wide = service.submit(wide_job()).unwrap();
+    let narrow = service.submit(narrow_job()).unwrap();
     let wide_outcome = wide.stream.wait().expect("wide job completes");
     let narrow_outcome = narrow.stream.wait().expect("narrow job completes");
     assert_eq!(wide_outcome.samples, 20);
     assert_eq!(narrow_outcome.samples, 6);
-
+    let solo_rounds = (wide_outcome.rounds + narrow_outcome.rounds) as u64;
     let metrics = service.shutdown();
     let pool = metrics.worker_pool;
     assert_eq!(pool.workers, 1, "pool_threads(2) spawned one worker");
     assert_eq!(
         pool.rounds_dispatched + pool.spawnless_rounds,
-        (wide_outcome.rounds + narrow_outcome.rounds) as u64,
+        solo_rounds,
         "every scheduled round hit the pool exactly once: {pool:?}"
     );
+    assert_eq!(metrics.round_duration_histogram.count, solo_rounds);
     assert!(
         pool.spawnless_rounds >= narrow_outcome.rounds as u64,
         "the 1-walker job's rounds all ran inline: {pool:?}"
     );
     assert!(pool.rounds_dispatched > 0, "the 4-walker job fanned out");
+
+    // Both jobs admitted in the same cycle: they share waves.
+    let service = SamplingService::builder(osn(500, 41))
+        .pool_threads(2)
+        .max_active(2)
+        .start_paused()
+        .build();
+    let wide = service.submit(wide_job()).unwrap();
+    let narrow = service.submit(narrow_job()).unwrap();
+    service.resume();
+    let wide_outcome = wide.stream.wait().expect("wide job completes");
+    let narrow_outcome = narrow.stream.wait().expect("narrow job completes");
+    assert_eq!(wide_outcome.samples, 20);
+    assert_eq!(narrow_outcome.samples, 6);
+    assert_eq!(
+        (wide_outcome.rounds + narrow_outcome.rounds) as u64,
+        solo_rounds,
+        "batching re-times rounds, it never adds or drops one"
+    );
+    let metrics = service.shutdown();
+    let pool = metrics.worker_pool;
+    let waves = metrics.round_duration_histogram.count;
+    assert_eq!(
+        pool.rounds_dispatched + pool.spawnless_rounds,
+        waves,
+        "every wave hit the pool exactly once: {pool:?}"
+    );
+    assert!(
+        waves < solo_rounds,
+        "co-admitted jobs shared waves: {waves} batches for {solo_rounds} rounds"
+    );
 }

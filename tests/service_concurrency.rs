@@ -413,3 +413,98 @@ fn high_priority_small_job_overtakes_earlier_large_job() {
         large_outcome.finish_index
     );
 }
+
+/// A network over two disjoint components whose fetch of one node in the
+/// first component panics.
+struct Landmine {
+    inner: SimulatedOsn,
+    mine: NodeId,
+}
+
+impl SocialNetwork for Landmine {
+    fn neighbors(&self, v: NodeId) -> walk_not_wait::access::Result<Vec<NodeId>> {
+        assert_ne!(v, self.mine, "stepped on the landmine");
+        self.inner.neighbors(v)
+    }
+    fn attribute(&self, name: &str, v: NodeId) -> walk_not_wait::access::Result<f64> {
+        self.inner.attribute(name, v)
+    }
+    fn seed_node(&self) -> NodeId {
+        self.inner.seed_node()
+    }
+    fn query_stats(&self) -> walk_not_wait::access::QueryStats {
+        self.inner.query_stats()
+    }
+    fn reset_counters(&self) {
+        self.inner.reset_counters()
+    }
+}
+
+/// Component A is nodes `0..300`, component B is `300..600`; the mine is a
+/// neighbor of A's start node, so A's walkers reach it on their first steps.
+const SECOND_COMPONENT: u32 = 300;
+const A_START: NodeId = NodeId(7);
+
+fn two_components() -> Landmine {
+    let a = barabasi_albert(SECOND_COMPONENT as usize, 3, 5).unwrap();
+    let b = barabasi_albert(SECOND_COMPONENT as usize, 3, 6).unwrap();
+    let mut builder = GraphBuilder::new();
+    for (u, v) in a.edges() {
+        builder.add_edge(u, v);
+    }
+    for (u, v) in b.edges() {
+        builder.add_edge(
+            NodeId(u.0 + SECOND_COMPONENT),
+            NodeId(v.0 + SECOND_COMPONENT),
+        );
+    }
+    let mine = a.neighbors(A_START)[0];
+    Landmine {
+        inner: SimulatedOsn::new(builder.build()),
+        mine,
+    }
+}
+
+/// A job whose walkers panic shares its waves (one pool batch per round
+/// across jobs) with a healthy job in the other component: the panic is
+/// contained to its own job, which ends `Panicked`, while the healthy job
+/// completes with the multiset it draws alone.
+#[test]
+fn a_panicking_job_does_not_disturb_its_batch_mates() {
+    let doomed = || SampleRequest::new(we_job(20, 4, 0xF1).with_start_node(A_START));
+    let healthy =
+        || SampleRequest::new(we_job(24, 4, 0xF2).with_start_node(NodeId(SECOND_COMPONENT + 11)));
+
+    let alone = SamplingService::builder(two_components())
+        .pool_threads(2)
+        .build();
+    let (samples, outcome) = alone.submit(healthy()).unwrap().stream.collect_all();
+    assert_eq!(outcome.unwrap().status, JobStatus::Completed);
+    let reference = sorted_nodes(&samples);
+    assert_eq!(reference.len(), 24);
+    assert!(reference.iter().all(|v| v.0 >= SECOND_COMPONENT));
+
+    let service = SamplingService::builder(two_components())
+        .pool_threads(2)
+        .max_active(2)
+        .start_paused()
+        .build();
+    let a = service.submit(doomed()).unwrap();
+    let b = service.submit(healthy()).unwrap();
+    service.resume();
+    let a_outcome = a.stream.wait().expect("the doomed job reports an outcome");
+    match &a_outcome.status {
+        JobStatus::Panicked(message) => assert!(
+            message.contains("stepped on the landmine"),
+            "unexpected panic message: {message}"
+        ),
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    let (samples, outcome) = b.stream.collect_all();
+    assert_eq!(outcome.unwrap().status, JobStatus::Completed);
+    assert_eq!(sorted_nodes(&samples), reference);
+    assert!(
+        a_outcome.rounds >= 1,
+        "the doomed job ran at least one round alongside the healthy one"
+    );
+}
