@@ -9,7 +9,7 @@ use std::fmt;
 use std::io;
 use wnw_graph::GraphError;
 
-/// Errors produced by CSR construction and catalog serialization.
+/// Errors produced by catalog serialization and graph generation.
 #[derive(Debug)]
 pub enum CatalogError {
     /// An underlying I/O error (file missing, permission denied, ...).
@@ -42,19 +42,18 @@ pub enum CatalogError {
     /// A section's checksum does not match its contents (bit rot, torn
     /// write, or manual tampering).
     ChecksumMismatch {
-        /// Which section failed: `"header"`, `"offsets"`, or `"neighbors"`.
+        /// Which section failed: `"header"`, `"offsets"`, `"neighbors"`, or
+        /// `"attributes"`.
         section: &'static str,
     },
-    /// The sections decoded cleanly but describe an impossible CSR layout
-    /// (non-monotone offsets, out-of-range neighbor, mismatched counts).
+    /// The sections decoded cleanly but describe an impossible graph
+    /// (non-monotone offsets, out-of-range neighbor, an unsorted or
+    /// duplicate list, a self-loop, a one-sided edge, a malformed
+    /// attribute column).
     Corrupt {
         /// Human-readable description of the structural violation.
         detail: String,
     },
-    /// The caller handed a constructor invalid input (edge endpoint out of
-    /// range, self-loop, ...). Unlike [`Corrupt`](Self::Corrupt) this is an
-    /// API-misuse report, not a file-integrity one.
-    InvalidInput(String),
     /// A generator error while building the graph a spec describes.
     Graph(GraphError),
 }
@@ -81,7 +80,6 @@ impl fmt::Display for CatalogError {
                 write!(f, "catalog {section} section failed its checksum")
             }
             CatalogError::Corrupt { detail } => write!(f, "catalog is corrupt: {detail}"),
-            CatalogError::InvalidInput(detail) => write!(f, "invalid input: {detail}"),
             CatalogError::Graph(e) => write!(f, "graph generation failed: {e}"),
         }
     }
@@ -143,9 +141,6 @@ mod tests {
         }
         .to_string()
         .contains("monotone"));
-        assert!(CatalogError::InvalidInput("self-loop".into())
-            .to_string()
-            .contains("self-loop"));
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! regeneration at the scales the registry names (see
 //! `benches/graph_substrate.rs`). A corrupt, stale, or version-skewed cache
 //! file is silently rebuilt, never trusted.
+//!
+//! [`load_or_build_in`] is that cache routine on its own, for graphs a
+//! spec cannot describe (the experiments' attributed surrogates).
 
-use crate::csr::CsrGraph;
 use crate::error::CatalogError;
 use crate::format;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use wnw_graph::generators::random::barabasi_albert;
+use wnw_graph::Graph;
 
 /// Environment variable overriding the catalog cache directory.
 pub const CATALOG_DIR_ENV: &str = "WNW_CATALOG_DIR";
@@ -116,16 +120,15 @@ impl GraphSpec {
     }
 
     /// Generates the graph from scratch (no cache involved).
-    pub fn build(&self) -> Result<CsrGraph, CatalogError> {
-        let g = match self.model {
-            GraphModel::BarabasiAlbert { m } => barabasi_albert(self.nodes, m, self.seed)?,
-        };
-        Ok(CsrGraph::from_graph(&g))
+    pub fn build(&self) -> Result<Graph, CatalogError> {
+        match self.model {
+            GraphModel::BarabasiAlbert { m } => Ok(barabasi_albert(self.nodes, m, self.seed)?),
+        }
     }
 
     /// The cache file name for this spec, versioned with the format.
     pub fn file_name(&self) -> String {
-        format!("{}-v{}.wnwcat", self.name, format::FORMAT_VERSION)
+        file_name(&self.name)
     }
 
     /// The cache path for this spec under `dir`.
@@ -136,40 +139,63 @@ impl GraphSpec {
     /// Loads this spec's catalog from the default [`catalog_dir`], building
     /// (and caching) it on any miss. See
     /// [`load_or_build_in`](Self::load_or_build_in).
-    pub fn load_or_build(&self) -> Result<(CsrGraph, CatalogSource), CatalogError> {
+    pub fn load_or_build(&self) -> Result<(Graph, CatalogSource), CatalogError> {
         self.load_or_build_in(&catalog_dir())
     }
 
     /// Loads this spec's catalog from `dir` if a valid cache file exists,
-    /// otherwise generates the graph and caches it (best-effort, atomic
-    /// rename; a failed save is not an error — the graph is still
-    /// returned). A cache file that is damaged in any way, or whose node
-    /// count no longer matches the spec, is rebuilt rather than trusted.
-    pub fn load_or_build_in(&self, dir: &Path) -> Result<(CsrGraph, CatalogSource), CatalogError> {
-        let path = self.path_in(dir);
-        if path.is_file() {
-            if let Ok(g) = format::load(&path) {
-                if g.node_count() == self.nodes {
-                    return Ok((g, CatalogSource::Loaded));
-                }
-            }
-        }
-        let g = self.build()?;
-        let _ = self.try_cache(&g, dir, &path);
-        Ok((g, CatalogSource::Built))
+    /// otherwise generates the graph and caches it. A cache file that is
+    /// damaged in any way, or whose node count no longer matches the spec,
+    /// is rebuilt rather than trusted. See the free [`load_or_build_in`].
+    pub fn load_or_build_in(&self, dir: &Path) -> Result<(Graph, CatalogSource), CatalogError> {
+        load_or_build_in(dir, &self.name, Some(self.nodes), || self.build())
     }
+}
 
-    /// Writes `g` to `path` via a temp file + rename so concurrent readers
-    /// never observe a half-written catalog.
-    fn try_cache(&self, g: &CsrGraph, dir: &Path, path: &Path) -> Result<(), CatalogError> {
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!(".{}.tmp-{}", self.file_name(), std::process::id()));
-        format::save(g, &tmp)?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            std::fs::remove_file(&tmp).ok();
-        })?;
-        Ok(())
+/// The cache file name for graph `name`, versioned with the format.
+fn file_name(name: &str) -> String {
+    format!("{name}-v{}.wnwcat", format::FORMAT_VERSION)
+}
+
+/// The one load-or-build cache routine: loads graph `name` from
+/// `dir/{name}-v{FORMAT_VERSION}.wnwcat` if that file is a valid catalog
+/// (with `nodes` nodes, when given), otherwise runs `build` and caches its
+/// result. The write is best-effort (a failed save is not an error; the
+/// graph is still returned) and atomic: a temp file private to this call,
+/// then a rename, so concurrent readers and writers — other threads or
+/// other processes — never observe a half-written catalog.
+pub fn load_or_build_in(
+    dir: &Path,
+    name: &str,
+    nodes: Option<usize>,
+    build: impl FnOnce() -> Result<Graph, CatalogError>,
+) -> Result<(Graph, CatalogSource), CatalogError> {
+    let file = file_name(name);
+    let path = dir.join(&file);
+    if let Ok(g) = format::load(&path) {
+        if nodes.is_none_or(|n| g.node_count() == n) {
+            return Ok((g, CatalogSource::Loaded));
+        }
     }
+    let g = build()?;
+    let _ = try_cache(&g, dir, &file);
+    Ok((g, CatalogSource::Built))
+}
+
+/// Writes `g` to `dir/file` via a temp file + rename. The temp name
+/// carries the pid and a process-wide sequence number, so no two writers
+/// ever share (and truncate) one temp file.
+fn try_cache(g: &Graph, dir: &Path, file: &str) -> Result<(), CatalogError> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    std::fs::create_dir_all(dir)?;
+    let seq = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{file}.tmp-{}-{seq}", std::process::id()));
+    let written = format::save(g, &tmp)
+        .and_then(|()| std::fs::rename(&tmp, dir.join(file)).map_err(CatalogError::from));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
 }
 
 /// The catalog cache directory: `$WNW_CATALOG_DIR` if set and non-empty,
@@ -254,6 +280,32 @@ mod tests {
         let (g, src) = bigger.load_or_build_in(&dir).unwrap();
         assert_eq!(src, CatalogSource::Built);
         assert_eq!(g.node_count(), 250);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_cold_loads_agree_and_leave_no_temp_files() {
+        let dir = temp_dir("race");
+        std::fs::remove_dir_all(&dir).ok();
+        let spec = GraphSpec::new("race_test", GraphModel::BarabasiAlbert { m: 3 }, 3_000, 21);
+        let graphs: Vec<Graph> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| spec.load_or_build_in(&dir).unwrap().0))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let expected = spec.build().unwrap();
+        assert!(graphs.iter().all(|g| *g == expected));
+        assert_eq!(format::load(&spec.path_in(&dir)).unwrap(), expected);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.contains(".tmp-"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

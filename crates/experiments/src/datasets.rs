@@ -4,26 +4,24 @@
 //! Graphs are generated deterministically from fixed seeds and cached on
 //! disk by default, so repeated `repro` invocations load instead of
 //! regenerate — at paper scale, regeneration dominates a figure's runtime.
-//! Two cache substrates share one directory
-//! (`wnw_catalog::catalog_dir()/experiments`, overridable via
-//! `$WNW_CATALOG_DIR` or [`DatasetRegistry::with_cache_dir`]):
+//! One cache serves every dataset: binary `.wnwcat` catalogs under
+//! `wnw_catalog::catalog_dir()/experiments` (overridable via
+//! `$WNW_CATALOG_DIR` or [`DatasetRegistry::with_cache_dir`]) —
+//! checksummed, versioned, rebuilt-not-trusted on damage. The Figure 11
+//! synthetic BA family and the exact-bias graph are
+//! [`wnw_catalog::GraphSpec`]s; the attributed surrogates (Google-Plus-,
+//! Yelp-, Twitter-like) go through the same
+//! [`wnw_catalog::load_or_build_in`] routine, attribute columns included.
 //!
-//! * pure-topology graphs (the Figure 11 synthetic BA family and the
-//!   exact-bias graph) go through [`wnw_catalog::GraphSpec`] binary
-//!   catalogs — checksummed, versioned, rebuilt-not-trusted on damage;
-//! * attributed surrogates (Google-Plus-, Yelp-, Twitter-like) use
-//!   [`wnw_graph::io`] snapshots, which carry the attribute columns the
-//!   catalog format deliberately omits.
-//!
-//! Both roundtrips preserve adjacency exactly ([`Graph`] neighbor lists are
-//! always id-sorted), so cached and freshly-generated runs walk identical
+//! A catalog stores a [`Graph`] exactly (adjacency, and every attribute
+//! value bit for bit), so cached and freshly-generated runs walk identical
 //! paths.
 
 use crate::report::ExperimentScale;
 use std::path::{Path, PathBuf};
-use wnw_catalog::{catalog_dir, GraphModel, GraphSpec};
+use wnw_catalog::{catalog_dir, load_or_build_in, GraphModel, GraphSpec};
 use wnw_graph::generators::surrogate::{self, SurrogateDataset};
-use wnw_graph::{io, Graph};
+use wnw_graph::Graph;
 
 /// Seeds fixed across the whole reproduction so results are repeatable.
 pub mod seeds {
@@ -73,43 +71,26 @@ impl DatasetRegistry {
         self.scale
     }
 
-    /// Snapshot cache for attributed surrogates. A snapshot that fails to
-    /// parse is regenerated, never trusted; the write goes through a temp
-    /// file + rename so concurrent `repro` runs never read a half-written
-    /// snapshot.
+    /// Catalog cache for attributed surrogates: load `name`'s `.wnwcat`
+    /// file if a valid one exists, otherwise generate and cache it.
     fn cached(&self, name: &str, build: impl FnOnce() -> Graph) -> Graph {
-        if let Some(dir) = &self.cache_dir {
-            let path = dir.join(format!("{name}.snapshot"));
-            if path.exists() {
-                if let Ok(graph) = io::read_snapshot_file(&path) {
-                    return graph;
-                }
+        match &self.cache_dir {
+            Some(dir) => {
+                load_or_build_in(dir, name, None, || Ok(build()))
+                    .expect("building a surrogate cannot fail")
+                    .0
             }
-            let graph = build();
-            if std::fs::create_dir_all(dir).is_ok() {
-                let tmp = dir.join(format!(".{name}.snapshot.tmp-{}", std::process::id()));
-                if io::write_snapshot_file(&graph, &tmp).is_ok()
-                    && std::fs::rename(&tmp, &path).is_err()
-                {
-                    let _ = std::fs::remove_file(&tmp);
-                }
-            }
-            return graph;
+            None => build(),
         }
-        build()
     }
 
-    /// Binary-catalog cache for pure-topology graphs: load the spec's
-    /// `.wnwcat` file if a valid one exists, otherwise generate and cache.
-    /// The CSR roundtrip preserves adjacency exactly, so walks over a
-    /// loaded graph match walks over a freshly generated one.
+    /// Catalog cache for the synthetic Barabási–Albert graphs.
     fn catalog(&self, name: &str, m: usize, n: usize, seed: u64) -> Graph {
         let spec = GraphSpec::new(name, GraphModel::BarabasiAlbert { m }, n, seed);
-        let csr = match &self.cache_dir {
+        match &self.cache_dir {
             Some(dir) => spec.load_or_build_in(dir).expect("valid graph spec").0,
             None => spec.build().expect("valid graph spec"),
-        };
-        csr.to_graph()
+        }
     }
 
     /// Node count of the Google-Plus-like surrogate at this scale
@@ -286,18 +267,13 @@ mod tests {
         );
         assert!(spec.path_in(&dir).exists(), "catalog file must be written");
         // Second call loads the catalog; the uncached path regenerates.
-        // All three must agree edge for edge.
+        // All three must be the same graph.
         let b = reg.synthetic(300);
         let fresh = DatasetRegistry::new(ExperimentScale::Quick)
             .without_cache()
             .synthetic(300);
-        for g in [&b, &fresh] {
-            assert_eq!(a.node_count(), g.node_count());
-            assert_eq!(a.edge_count(), g.edge_count());
-            assert!((0..300).all(|v| {
-                a.neighbors(wnw_graph::NodeId(v)) == g.neighbors(wnw_graph::NodeId(v))
-            }));
-        }
+        assert_eq!(a, b);
+        assert_eq!(a, fresh);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -308,15 +284,41 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let reg = DatasetRegistry::new(ExperimentScale::Quick).with_cache_dir(&dir);
         let a = reg.yelp();
-        assert!(dir
-            .join(format!("yelp_{}.snapshot", reg.yelp_size()))
-            .exists());
-        let b = reg.yelp();
-        assert_eq!(
-            a.graph.attributes().column("stars"),
-            b.graph.attributes().column("stars"),
-            "the cached snapshot must carry the attribute columns"
+        let file = dir.join(format!(
+            "yelp_{}-v{}.wnwcat",
+            reg.yelp_size(),
+            wnw_catalog::format::FORMAT_VERSION
+        ));
+        assert!(
+            file.exists(),
+            "the surrogate must cache as a .wnwcat catalog"
         );
+        let b = reg.yelp();
+        assert!(b.graph.attributes().column("stars").is_some());
+        assert_eq!(
+            a.graph, b.graph,
+            "the cached catalog must carry the attribute columns"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cached_and_uncached_datasets_are_equal_at_quick_scale() {
+        let dir =
+            std::env::temp_dir().join(format!("wnw_dataset_equal_test_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let fresh = DatasetRegistry::new(ExperimentScale::Quick).without_cache();
+        let cached = DatasetRegistry::new(ExperimentScale::Quick).with_cache_dir(&dir);
+        // Twice through the cache: the cold call builds, the warm one loads.
+        for _ in 0..2 {
+            assert_eq!(cached.google_plus().graph, fresh.google_plus().graph);
+            assert_eq!(cached.yelp().graph, fresh.yelp().graph);
+            assert_eq!(cached.twitter().graph, fresh.twitter().graph);
+            for n in fresh.synthetic_sizes() {
+                assert_eq!(cached.synthetic(n), fresh.synthetic(n));
+            }
+            assert_eq!(cached.exact_bias_graph(), fresh.exact_bias_graph());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,16 +1,11 @@
-//! Plain-text graph formats.
+//! Plain-text edge lists, for interchange.
 //!
 //! Real OSN datasets (SNAP edge lists, crawler output) typically arrive as
-//! whitespace-separated edge lists, so this module reads and writes:
-//!
-//! * **edge lists** — one `u v` pair per line, `#`-prefixed comments allowed,
-//!   node ids need not be dense (they are remapped in first-seen order), and
-//! * **snapshots** — a self-contained text format that also carries node
-//!   attributes, used to cache generated surrogate datasets between
-//!   experiment runs.
-//!
-//! Both formats are deliberately plain text rather than a serde binary format
-//! so datasets remain inspectable with standard shell tools.
+//! whitespace-separated edge lists: one `u v` pair per line, `#`-prefixed
+//! comments allowed, node ids not necessarily dense (they are remapped in
+//! first-seen order). This module reads and writes that format. Caching a
+//! generated graph, attributes included, is the binary `.wnwcat` catalog's
+//! job (`wnw-catalog`).
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
@@ -84,180 +79,10 @@ pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<()> {
     write_edge_list(g, file)
 }
 
-/// Writes a self-contained snapshot: node count, edges, and every attribute
-/// column. Format:
-///
-/// ```text
-/// wnw-snapshot v1
-/// nodes <n>
-/// edges <m>
-/// <u> <v>            (m lines)
-/// attr <name> <n>
-/// <value>            (n lines, one per node)
-/// ```
-pub fn write_snapshot<W: Write>(g: &Graph, writer: W) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "wnw-snapshot v1")?;
-    writeln!(w, "nodes {}", g.node_count())?;
-    writeln!(w, "edges {}", g.edge_count())?;
-    for (u, v) in g.edges() {
-        writeln!(w, "{} {}", u.0, v.0)?;
-    }
-    for name in g.attributes().names() {
-        let col = g
-            .attributes()
-            .column(name)
-            .expect("name came from the table");
-        writeln!(w, "attr {} {}", name, col.len())?;
-        for v in col.as_slice() {
-            writeln!(w, "{v}")?;
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes a snapshot to a file path. See [`write_snapshot`].
-pub fn write_snapshot_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_snapshot(g, file)
-}
-
-/// Reads a snapshot written by [`write_snapshot`].
-pub fn read_snapshot<R: Read>(reader: R) -> Result<Graph> {
-    let reader = BufReader::new(reader);
-    let lines: Vec<String> = reader.lines().collect::<std::io::Result<_>>()?;
-    let mut cursor = SnapshotCursor {
-        lines: &lines,
-        pos: 0,
-    };
-
-    let (i, header) = cursor.next_line("header")?;
-    if header.trim() != "wnw-snapshot v1" {
-        return Err(GraphError::Parse {
-            line: i + 1,
-            message: "missing `wnw-snapshot v1` header".into(),
-        });
-    }
-    let (i, nodes_line) = cursor.next_line("nodes")?;
-    let n = parse_count(&nodes_line, i, "nodes")?;
-    let (i, edges_line) = cursor.next_line("edges")?;
-    let m = parse_count(&edges_line, i, "edges")?;
-
-    let mut builder = GraphBuilder::with_capacity(n, m);
-    builder.ensure_nodes(n);
-    for _ in 0..m {
-        let (i, line) = cursor.next_line("edge")?;
-        let mut parts = line.split_whitespace();
-        let u: u32 = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(GraphError::Parse {
-                line: i + 1,
-                message: "bad edge line".into(),
-            })?;
-        let v: u32 = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or(GraphError::Parse {
-                line: i + 1,
-                message: "bad edge line".into(),
-            })?;
-        builder.add_edge(u, v);
-    }
-    let mut graph = builder.build();
-
-    // Attribute sections until EOF.
-    while let Some((i, line)) = cursor.next_nonempty_line() {
-        let mut parts = line.split_whitespace();
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some("attr"), Some(name), Some(count)) => {
-                let count: usize = count.parse().map_err(|_| GraphError::Parse {
-                    line: i + 1,
-                    message: "bad attribute count".into(),
-                })?;
-                let mut values = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let (j, vline) = cursor.next_line("attribute value")?;
-                    let v: f64 = vline.trim().parse().map_err(|_| GraphError::Parse {
-                        line: j + 1,
-                        message: format!("`{vline}` is not a number"),
-                    })?;
-                    values.push(v);
-                }
-                graph.set_attribute(name, values)?;
-            }
-            _ => {
-                return Err(GraphError::Parse {
-                    line: i + 1,
-                    message: format!("expected `attr <name> <count>`, got `{line}`"),
-                })
-            }
-        }
-    }
-    Ok(graph)
-}
-
-/// Cursor over pre-read snapshot lines, tracking 0-based positions so parse
-/// errors can report 1-based line numbers.
-struct SnapshotCursor<'a> {
-    lines: &'a [String],
-    pos: usize,
-}
-
-impl SnapshotCursor<'_> {
-    fn next_line(&mut self, expect: &str) -> Result<(usize, String)> {
-        match self.lines.get(self.pos) {
-            Some(l) => {
-                let i = self.pos;
-                self.pos += 1;
-                Ok((i, l.clone()))
-            }
-            None => Err(GraphError::Parse {
-                line: self.pos,
-                message: format!("unexpected end of file, expected {expect}"),
-            }),
-        }
-    }
-
-    fn next_nonempty_line(&mut self) -> Option<(usize, String)> {
-        while let Some(l) = self.lines.get(self.pos) {
-            let i = self.pos;
-            self.pos += 1;
-            if !l.trim().is_empty() {
-                return Some((i, l.clone()));
-            }
-        }
-        None
-    }
-}
-
-fn parse_count(line: &str, lineno: usize, key: &str) -> Result<usize> {
-    let mut parts = line.split_whitespace();
-    match (parts.next(), parts.next()) {
-        (Some(k), Some(v)) if k == key => v.parse::<usize>().map_err(|_| GraphError::Parse {
-            line: lineno + 1,
-            message: format!("`{v}` is not a count"),
-        }),
-        _ => Err(GraphError::Parse {
-            line: lineno + 1,
-            message: format!("expected `{key} <count>`"),
-        }),
-    }
-}
-
-/// Reads a snapshot from a file path. See [`read_snapshot`].
-pub fn read_snapshot_file<P: AsRef<Path>>(path: P) -> Result<Graph> {
-    let file = std::fs::File::open(path)?;
-    read_snapshot(file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::classic::cycle;
     use crate::generators::random::barabasi_albert;
-    use crate::node::NodeId;
 
     #[test]
     fn edge_list_roundtrip() {
@@ -281,41 +106,5 @@ mod tests {
     fn edge_list_rejects_garbage() {
         assert!(read_edge_list("1 x\n".as_bytes()).is_err());
         assert!(read_edge_list("1\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn snapshot_roundtrip_with_attributes() {
-        let mut g = cycle(6);
-        g.set_attribute("stars", vec![1.0, 2.0, 3.0, 4.0, 5.0, 2.5])
-            .unwrap();
-        g.set_attribute("words", vec![10.0; 6]).unwrap();
-        let mut buf = Vec::new();
-        write_snapshot(&g, &mut buf).unwrap();
-        let h = read_snapshot(&buf[..]).unwrap();
-        assert_eq!(h.node_count(), 6);
-        assert_eq!(h.edge_count(), 6);
-        assert_eq!(h.attribute("stars", NodeId(4)).unwrap(), 5.0);
-        assert_eq!(h.attribute("words", NodeId(0)).unwrap(), 10.0);
-        assert_eq!(h.attributes().len(), 2);
-    }
-
-    #[test]
-    fn snapshot_rejects_bad_header() {
-        assert!(read_snapshot("not a snapshot\n".as_bytes()).is_err());
-        assert!(read_snapshot("wnw-snapshot v1\nnodes x\n".as_bytes()).is_err());
-        assert!(read_snapshot("wnw-snapshot v1\nnodes 2\nedges 1\n0 zzz\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn snapshot_file_roundtrip() {
-        let dir = std::env::temp_dir().join("wnw_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cycle.snapshot");
-        let g = cycle(5);
-        write_snapshot_file(&g, &path).unwrap();
-        let h = read_snapshot_file(&path).unwrap();
-        assert_eq!(h.node_count(), 5);
-        assert_eq!(h.edge_count(), 5);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -21,8 +21,8 @@
 //!   compute the relative error of sample-based estimates,
 //! * [`attributes`] — per-node attribute storage (e.g. "stars",
 //!   "self-description length") used by the aggregate-estimation experiments,
-//! * [`io`] — plain-text edge-list and snapshot formats for manual dataset
-//!   handling.
+//! * [`io`] — plain-text edge lists for dataset interchange (caching a
+//!   graph on disk is the binary catalog's job, in `wnw-catalog`).
 //!
 //! # Quick example
 //!

@@ -1,5 +1,7 @@
 //! A self-contained service-under-test: a seeded Barabási–Albert graph
-//! behind [`SimulatedOsn`], a [`SamplingService`], and a loopback
+//! (read through the [`GraphSpec`] catalog cache, so repeat runs load it
+//! instead of regenerating it) behind [`SimulatedOsn`], a
+//! [`SamplingService`], and a loopback
 //! [`GatewayServer`] sized so the *service*, not the harness, is the
 //! bottleneck under the preset scenarios.
 //!
@@ -16,10 +18,9 @@ use wnw_access::{
     FaultInjector, FaultProfile, FaultStats, FaultyNetwork, ResilienceMonitor, ResilienceStats,
     ResilientNetwork, RetryPolicy, SimulatedOsn,
 };
-use wnw_catalog::{CatalogNetwork, CsrGraph, GraphModel, GraphSpec};
+use wnw_catalog::{GraphModel, GraphSpec};
 use wnw_gateway::{GatewayConfig, GatewayServer};
-use wnw_graph::generators::random::barabasi_albert;
-use wnw_graph::NodeId;
+use wnw_graph::{Graph, NodeId};
 use wnw_service::SamplingService;
 
 /// Edges each newcomer attaches with in the testbed graph.
@@ -28,39 +29,10 @@ const BA_EDGES_PER_NODE: usize = 3;
 /// across scenarios — only the workload varies.
 const GRAPH_SEED: u64 = 0x0517_BEEF;
 
-/// Launches a fresh gateway over a `nodes`-node simulated OSN, bound to an
-/// OS-assigned loopback port. The caller owns the server (and should
-/// `shutdown()` it once the run drains).
-pub fn launch(nodes: usize) -> io::Result<GatewayServer<SimulatedOsn>> {
-    let graph = barabasi_albert(nodes, BA_EDGES_PER_NODE, GRAPH_SEED)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("testbed graph: {e}")))?;
-    let service = SamplingService::builder(SimulatedOsn::new(graph))
-        .pool_threads(2)
-        .max_in_flight(256)
-        .build();
-    GatewayServer::bind_with(service, "127.0.0.1:0", testbed_gateway_config())
-}
-
-/// Launches a fresh gateway over the **catalog substrate**: the same
-/// testbed graph (model, `m`, seed) built as a [`CsrGraph`] and served
-/// through [`CatalogNetwork`], cached on disk by the spec registry so
-/// repeat runs load instead of regenerate. Everything above the access
-/// layer — service, gateway, driver — is identical to [`launch`]; that
-/// indifference is the point of the adapter.
-pub fn launch_catalog(nodes: usize) -> io::Result<GatewayServer<CatalogNetwork>> {
-    let csr = testbed_catalog(nodes).map_err(|e| {
-        io::Error::new(io::ErrorKind::InvalidInput, format!("testbed catalog: {e}"))
-    })?;
-    let service = SamplingService::builder(CatalogNetwork::new(csr))
-        .pool_threads(2)
-        .max_in_flight(256)
-        .build();
-    GatewayServer::bind_with(service, "127.0.0.1:0", testbed_gateway_config())
-}
-
-/// The testbed graph as a cached CSR catalog (spec name
-/// `loadgen_ba_{nodes}`, same model parameters and seed as [`launch`]).
-pub fn testbed_catalog(nodes: usize) -> wnw_catalog::Result<CsrGraph> {
+/// The `nodes`-node testbed graph (spec `loadgen_ba_{nodes}`: BA with
+/// [`BA_EDGES_PER_NODE`] and [`GRAPH_SEED`]), loaded from the catalog
+/// cache or generated and cached on a miss.
+fn testbed_graph(nodes: usize) -> io::Result<Graph> {
     let spec = GraphSpec::new(
         format!("loadgen_ba_{nodes}"),
         GraphModel::BarabasiAlbert {
@@ -69,7 +41,20 @@ pub fn testbed_catalog(nodes: usize) -> wnw_catalog::Result<CsrGraph> {
         nodes,
         GRAPH_SEED,
     );
-    spec.load_or_build().map(|(graph, _)| graph)
+    spec.load_or_build()
+        .map(|(graph, _)| graph)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("testbed graph: {e}")))
+}
+
+/// Launches a fresh gateway over a `nodes`-node simulated OSN, bound to an
+/// OS-assigned loopback port. The caller owns the server (and should
+/// `shutdown()` it once the run drains).
+pub fn launch(nodes: usize) -> io::Result<GatewayServer<SimulatedOsn>> {
+    let service = SamplingService::builder(SimulatedOsn::new(testbed_graph(nodes)?))
+        .pool_threads(2)
+        .max_in_flight(256)
+        .build();
+    GatewayServer::bind_with(service, "127.0.0.1:0", testbed_gateway_config())
 }
 
 /// Nodes in the streams-tier testbed graph: the tiers stress connection
@@ -83,9 +68,7 @@ const STREAMS_NODES: usize = 2_000;
 /// submit-everything-then-open-everything sweep cannot get its unclaimed
 /// jobs reaped mid-tier.
 pub fn launch_streams(concurrent: usize) -> io::Result<GatewayServer<SimulatedOsn>> {
-    let graph = barabasi_albert(STREAMS_NODES, BA_EDGES_PER_NODE, GRAPH_SEED)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("testbed graph: {e}")))?;
-    let service = SamplingService::builder(SimulatedOsn::new(graph))
+    let service = SamplingService::builder(SimulatedOsn::new(testbed_graph(STREAMS_NODES)?))
         .pool_threads(2)
         .max_in_flight(concurrent.max(256))
         .build();
@@ -120,15 +103,6 @@ fn testbed_gateway_config() -> GatewayConfig {
 /// server down. The returned report is the scenario's bench row.
 pub fn run_scenario(scenario: &Scenario) -> io::Result<crate::report::ScenarioReport> {
     let server = launch(scenario.nodes)?;
-    let report = crate::driver::run_scenario_on(server.local_addr(), scenario);
-    server.shutdown();
-    report
-}
-
-/// [`run_scenario`] on the catalog-backed testbed: same workload, same
-/// driver, CSR substrate underneath.
-pub fn run_scenario_catalog(scenario: &Scenario) -> io::Result<crate::report::ScenarioReport> {
-    let server = launch_catalog(scenario.nodes)?;
     let report = crate::driver::run_scenario_on(server.local_addr(), scenario);
     server.shutdown();
     report
@@ -218,8 +192,7 @@ impl ChaosEvidence {
 /// against a *healthy* service whose stats already prove the
 /// open → half-open → closed cycle ran.
 pub fn launch_chaos(nodes: usize) -> io::Result<ChaosTestbed> {
-    let graph = barabasi_albert(nodes, BA_EDGES_PER_NODE, GRAPH_SEED)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("testbed graph: {e}")))?;
+    let graph = testbed_graph(nodes)?;
     let faulty = FaultyNetwork::new(SimulatedOsn::new(graph), CHAOS_FAULT_SEED, chaos_profile());
     let injector = Arc::clone(faulty.injector());
     let resilient = ResilientNetwork::new(faulty, CHAOS_POLICY, CHAOS_FAULT_SEED);

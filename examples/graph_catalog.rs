@@ -1,7 +1,6 @@
-//! Graph catalogs: build a seeded CSR graph once, cache it as a binary
-//! catalog, load it back in milliseconds, and run the sampling engine on it
-//! through the `CatalogNetwork` adapter — the substrate swap nothing above
-//! the access layer notices.
+//! Graph catalogs: build a seeded graph once, cache it as a binary catalog,
+//! load it back in milliseconds, and sample it through `SimulatedOsn` — a
+//! loaded catalog is an ordinary `Graph`.
 //!
 //! ```text
 //! cargo run --release --example graph_catalog
@@ -11,7 +10,7 @@
 //! `WNW_CATALOG_DIR`); delete the file to force a rebuild.
 
 use std::time::Instant;
-use walk_not_wait::catalog::{AdjListGraph, CatalogSource, GraphSpec};
+use walk_not_wait::catalog::{CatalogSource, GraphSpec};
 use walk_not_wait::prelude::*;
 
 fn main() {
@@ -20,13 +19,13 @@ fn main() {
     let spec = GraphSpec::named("ba_50k").expect("registry spec");
 
     let start = Instant::now();
-    let (csr, source) = spec.load_or_build().expect("catalog generation");
+    let (graph, source) = spec.load_or_build().expect("catalog generation");
     let first = start.elapsed();
     println!(
         "{}: {} nodes, {} edges — {} in {first:.2?}",
         spec.name(),
-        csr.node_count(),
-        csr.edge_count(),
+        graph.node_count(),
+        graph.edge_count(),
         match source {
             CatalogSource::Built => "generated + cached",
             CatalogSource::Loaded => "loaded from catalog",
@@ -37,23 +36,12 @@ fn main() {
     let start = Instant::now();
     let (reloaded, source) = spec.load_or_build().expect("catalog load");
     let second = start.elapsed();
-    assert_eq!(reloaded, csr);
+    assert_eq!(reloaded, graph);
     assert_eq!(source, CatalogSource::Loaded);
     println!("reload from {}: {second:.2?}", spec.file_name());
 
-    // What the flat two-array layout saves over per-node Vec adjacency.
-    let adj = AdjListGraph::from_csr(&csr);
-    let edges = csr.edge_count() as f64;
-    println!(
-        "resident bytes/edge: CSR {:.1} vs per-node-Vec {:.1} ({:.2}x)",
-        csr.resident_bytes() as f64 / edges,
-        adj.resident_bytes() as f64 / edges,
-        csr.resident_bytes() as f64 / adj.resident_bytes() as f64,
-    );
-
-    // The engine runs on the catalog unchanged: CatalogNetwork is a
-    // SocialNetwork like any other, with the same metered query accounting.
-    let network = CatalogNetwork::new(reloaded);
+    // The loaded graph is served like any other: SimulatedOsn meters it.
+    let network = SimulatedOsn::new(reloaded);
     let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 200, 0xCA7A)
         .with_walkers(4)
         .with_diameter_estimate(6);

@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`graph`] | `wnw-graph` | CSR graph, generators, metrics, I/O |
 //! | [`access`] | `wnw-access` | restricted OSN interface, budgets, rate limits |
-//! | [`catalog`] | `wnw-catalog` | CSR substrate, binary on-disk network catalogs |
+//! | [`catalog`] | `wnw-catalog` | binary on-disk graph catalogs, the seeded `GraphSpec` cache |
 //! | [`mcmc`] | `wnw-mcmc` | SRW/MHRW, convergence, rejection sampling, baselines |
 //! | [`core`] | `wnw-core` | WALK-ESTIMATE (the paper's contribution) |
 //! | [`runtime`] | `wnw-runtime` | persistent round-barrier worker pool (zero-spawn rounds) |
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use wnw_analytics::aggregates::{
         estimate_average, relative_error, SampleValue, WeightingScheme,
     };
-    pub use wnw_catalog::{CatalogNetwork, CsrGraph, GraphSpec};
+    pub use wnw_catalog::GraphSpec;
     pub use wnw_core::{
         WalkEstimateConfig, WalkEstimateSampler, WalkEstimateVariant, WalkLengthPolicy,
     };

@@ -1,21 +1,21 @@
 //! Acceptance bar of the `wnw-catalog` subsystem, through the facade crate:
 //!
-//! * **CSR conformance (property, 3 seeds):** a `CsrGraph` built from a
-//!   seeded BA generator presents exactly the per-node-Vec graph's degree
-//!   sequence and neighbor multisets — the substrate swap changes layout,
-//!   never topology;
-//! * **catalog roundtrip:** save → load through the filesystem is
-//!   lossless, and the loaded graph is byte-for-byte the saved one;
+//! * **CSR conformance (3 seeds):** the generated graph's CSR layout
+//!   presents exactly the degree sequence and neighbor lists of a
+//!   per-node-`Vec` adjacency rebuilt from its edges;
+//! * **catalog roundtrip (3 seeds, plus an attributed surrogate):** save →
+//!   load through the filesystem gives back the very same [`Graph`] —
+//!   topology and every attribute column;
 //! * **spec cache:** `load_or_build_in` builds on a cold directory, loads
 //!   on a warm one, and recovers from a stomped cache file;
-//! * **service on a catalog:** a `SamplingService` over `CatalogNetwork`
-//!   delivers the same accepted-sample multiset as the same service over
-//!   `SimulatedOsn` on the same topology — nothing above the access layer
-//!   can tell the substrates apart.
+//! * **service on a catalog:** a `SamplingService` over a loaded graph
+//!   delivers the same accepted-sample multiset, at the same query cost, as
+//!   the same service over the freshly generated graph.
 
 use std::path::PathBuf;
-use walk_not_wait::catalog::{CatalogSource, GraphModel, GraphSpec};
+use walk_not_wait::catalog::{format, CatalogSource, GraphModel, GraphSpec};
 use walk_not_wait::graph::generators::random::barabasi_albert;
+use walk_not_wait::graph::generators::surrogate::yelp_like;
 use walk_not_wait::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -24,51 +24,76 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Satellite (c): identical degree sequences and neighbor multisets between
-/// the CSR build and the per-node-Vec graph, across 3 generator seeds.
+/// The CSR layout changes storage, never topology: at three generator seeds
+/// the generated graph presents exactly the degree sequence and neighbor
+/// lists of a per-node-`Vec` adjacency rebuilt from its edge list, and
+/// flattening that adjacency through `Graph::from_csr_parts` gives back the
+/// same graph.
 #[test]
 fn csr_conforms_to_per_node_vec_graph_at_three_seeds() {
     for seed in [0xA11CE, 0xB0B, 0xC0FFEE] {
         let graph = barabasi_albert(2_000, 3, seed).unwrap();
-        let csr = CsrGraph::from_graph(&graph);
-        assert_eq!(csr.node_count(), graph.node_count(), "seed {seed:#x}");
-        assert_eq!(csr.edge_count(), graph.edge_count(), "seed {seed:#x}");
+        let mut lists: Vec<Vec<NodeId>> = vec![Vec::new(); graph.node_count()];
+        for (u, v) in graph.edges() {
+            lists[u.index()].push(v);
+            lists[v.index()].push(u);
+        }
+        for list in &mut lists {
+            list.sort_unstable();
+        }
+        assert_eq!(
+            lists.iter().map(Vec::len).sum::<usize>(),
+            2 * graph.edge_count()
+        );
         for v in graph.nodes() {
+            let expected = &lists[v.index()];
             assert_eq!(
-                csr.degree(v),
                 graph.degree(v),
+                expected.len(),
                 "degree of {v:?}, seed {seed:#x}"
             );
-            // Both sides keep neighbor lists sorted, so multiset equality
-            // is slice equality.
-            let expected: Vec<u32> = graph.neighbors(v).iter().map(|u| u.0).collect();
             assert_eq!(
-                csr.neighbor_slice(v),
+                graph.neighbors(v),
                 &expected[..],
                 "neighbors of {v:?}, seed {seed:#x}"
             );
         }
+
+        let mut offsets = vec![0u64];
+        for list in &lists {
+            offsets.push(offsets.last().unwrap() + list.len() as u64);
+        }
+        let rebuilt = Graph::from_csr_parts(offsets, lists.concat()).unwrap();
+        assert_eq!(rebuilt, graph, "seed {seed:#x}");
     }
 }
 
-/// Satellite (e)'s test-gate leg: catalog save → load → verify roundtrip
-/// through the real filesystem.
+/// Save → load through the real filesystem is lossless at three generator
+/// seeds, and for a surrogate that carries attribute columns.
 #[test]
 fn catalog_roundtrip_through_filesystem_is_lossless() {
     let dir = temp_dir("roundtrip");
     let path = dir.join("roundtrip.wnwcat");
-    let graph = CsrGraph::from_graph(&barabasi_albert(3_000, 3, 0xD15C).unwrap());
+    let mut graphs: Vec<Graph> = [0xA11CE, 0xB0B, 0xC0FFEE]
+        .into_iter()
+        .map(|seed| barabasi_albert(2_000, 3, seed).unwrap())
+        .collect();
+    graphs.push(yelp_like(600, 0xD15C).unwrap().graph);
 
-    walk_not_wait::catalog::format::save(&graph, &path).unwrap();
-    let loaded = walk_not_wait::catalog::format::load(&path).unwrap();
-    assert_eq!(loaded, graph);
-
-    // Verify the loaded graph is usable, not just equal: walk a few nodes.
-    for v in [0u32, 1, 1_500, 2_999] {
-        let v = walk_not_wait::graph::NodeId(v);
-        assert_eq!(loaded.degree(v), graph.degree(v));
-        assert_eq!(loaded.nth_neighbor(v, 0), graph.nth_neighbor(v, 0));
+    for graph in &graphs {
+        format::save(graph, &path).unwrap();
+        let loaded = format::load(&path).unwrap();
+        assert_eq!(&loaded, graph);
+        // Equal and usable: the loaded graph answers the walk's queries.
+        let n = graph.node_count();
+        for v in [0, 1, n / 2, n - 1] {
+            let v = NodeId(v as u32);
+            assert_eq!(loaded.degree(v), graph.degree(v));
+            assert_eq!(loaded.neighbors(v), graph.neighbors(v));
+        }
     }
+    let surrogate = graphs.last().unwrap();
+    assert!(surrogate.attributes().column("stars").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -96,52 +121,46 @@ fn spec_cache_builds_loads_and_self_heals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The substrate-indifference guarantee, end to end: the sampling service
-/// produces the identical accepted-sample multiset whether the network
-/// under it is `SimulatedOsn` (per-node-Vec) or `CatalogNetwork` (CSR) on
-/// the same topology — and pays the same unique-node query cost.
+/// End to end: the sampling service cannot tell a catalog-loaded graph from
+/// the freshly generated one — same accepted-sample multiset, same
+/// unique-node query cost.
 #[test]
 fn service_on_catalog_matches_service_on_simulated_osn() {
-    let graph = barabasi_albert(1_500, 3, 0x5EED).unwrap();
-    let csr = CsrGraph::from_graph(&graph);
+    let dir = temp_dir("service");
+    let spec = GraphSpec::new(
+        "it_service",
+        GraphModel::BarabasiAlbert { m: 3 },
+        1_500,
+        0x5EED,
+    );
+    let fresh = spec.build().unwrap();
+    spec.load_or_build_in(&dir).unwrap();
+    let (loaded, src) = spec.load_or_build_in(&dir).unwrap();
+    assert_eq!(src, CatalogSource::Loaded);
 
     let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 40, 0xAB)
         .with_walkers(4)
         .with_diameter_estimate(5);
-
-    let run = |outcome_samples: &mut Vec<NodeId>, cost: &mut u64, on_catalog: bool| {
-        macro_rules! drive {
-            ($network:expr) => {{
-                let service = SamplingService::builder($network).pool_threads(2).build();
-                let ticket = service.submit(SampleRequest::new(job.clone())).unwrap();
-                let (samples, outcome) = ticket.stream.collect_all();
-                let outcome = outcome.unwrap();
-                assert_eq!(outcome.status, JobStatus::Completed);
-                let mut nodes: Vec<NodeId> = samples.iter().map(|s| s.node).collect();
-                nodes.sort_unstable();
-                *outcome_samples = nodes;
-                *cost = outcome.query_cost;
-            }};
-        }
-        if on_catalog {
-            drive!(CatalogNetwork::new(csr.clone()));
-        } else {
-            drive!(SimulatedOsn::new(graph.clone()));
-        }
+    let run = |graph: Graph| {
+        let service = SamplingService::builder(SimulatedOsn::new(graph))
+            .pool_threads(2)
+            .build();
+        let ticket = service.submit(SampleRequest::new(job.clone())).unwrap();
+        let (samples, outcome) = ticket.stream.collect_all();
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.status, JobStatus::Completed);
+        let mut nodes: Vec<NodeId> = samples.iter().map(|s| s.node).collect();
+        nodes.sort_unstable();
+        (nodes, outcome.query_cost)
     };
 
-    let (mut sim_nodes, mut sim_cost) = (Vec::new(), 0u64);
-    let (mut cat_nodes, mut cat_cost) = (Vec::new(), 0u64);
-    run(&mut sim_nodes, &mut sim_cost, false);
-    run(&mut cat_nodes, &mut cat_cost, true);
-
+    let (fresh_nodes, fresh_cost) = run(fresh);
+    let (loaded_nodes, loaded_cost) = run(loaded);
     assert_eq!(
-        sim_nodes, cat_nodes,
-        "sample multisets must be substrate-invariant"
+        fresh_nodes, loaded_nodes,
+        "sample multisets must not depend on where the graph came from"
     );
-    assert_eq!(
-        sim_cost, cat_cost,
-        "query accounting must be substrate-invariant"
-    );
-    assert!(!cat_nodes.is_empty());
+    assert_eq!(fresh_cost, loaded_cost, "query accounting must match too");
+    assert!(!loaded_nodes.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,6 @@
 //! Acceptance bar of the `wnw-loadgen` workload-replay harness, at smoke
-//! scale over real loopback sockets:
+//! scale over real loopback sockets, on the testbed graph as the catalog
+//! cache loads it:
 //!
 //! * a driven scenario produces a fully populated report — every offered
 //!   request accounted for, client-side latency summaries present, the
@@ -56,35 +57,6 @@ fn steady_smoke_run_reports_and_meets_its_slo() {
     assert!(
         report.slo.pass,
         "steady smoke must meet its SLO: {:?}",
-        report.slo.checks
-    );
-}
-
-/// The catalog-backed testbed drives the same smoke workload end to end:
-/// CSR substrate underneath, identical gateway/service/driver above — the
-/// whole stack runs on a loaded catalog with its SLO intact.
-#[test]
-fn steady_smoke_run_on_catalog_testbed_meets_its_slo() {
-    let steady = scenario::steady(Scale::Smoke);
-    let report = testbed::run_scenario_catalog(&steady).expect("catalog smoke run");
-
-    assert!(report.offered > 0);
-    assert_eq!(
-        report.submitted + report.shed + report.submit_errors,
-        report.offered
-    );
-    assert!(
-        report.completed > 0,
-        "catalog-backed steady load completes jobs"
-    );
-    assert!(report.samples_delivered > 0);
-    assert!(
-        report.server.prometheus_consistent,
-        "prometheus scrape must validate on the catalog substrate too"
-    );
-    assert!(
-        report.slo.pass,
-        "catalog-backed steady smoke must meet the same SLO: {:?}",
         report.slo.checks
     );
 }
