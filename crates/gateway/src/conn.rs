@@ -428,8 +428,9 @@ impl<T: Transport> Conn<T> {
                 }
             }
             Err(TryRecvError::Disconnected) => {
-                // The task pool is gone (shutdown mid-request).
-                self.push_response(now, error_bytes(500, "gateway shutting down", true), false);
+                // The handler panicked, or the task pool is gone (shutdown
+                // mid-request).
+                self.push_response(now, error_bytes(500, "handler failed", true), false);
                 Step::Progress
             }
         }

@@ -24,7 +24,7 @@
 //! | `GET /v1/jobs/{id}/stream` | chunked NDJSON stream of `sample`/`progress`/`done` events |
 //! | `DELETE /v1/jobs/{id}` | cooperative cancel (stream still delivers `done`) |
 //! | `GET /v1/metrics` | service metrics snapshot, incl. `shared_cache_savings`, queue waits, the cross-job `history` reuse counters, and the latency histograms |
-//! | `GET /v1/metrics/prometheus` | the same snapshot as Prometheus text exposition (`wnw_*` series, see [`prom`]) |
+//! | `GET /v1/metrics/prometheus` | the same snapshot as Prometheus text exposition (`wnw_*` series, see [`wire::metrics_to_prometheus`]) |
 //! | `GET /v1/jobs/{id}/trace` | the job's lifecycle trace as a JSON array (404 once evicted or with telemetry off) |
 //! | `GET /healthz` | liveness probe: `status`, `version`, `uptime_seconds` |
 //!
@@ -84,7 +84,6 @@ pub mod client;
 pub mod conn;
 pub mod http;
 pub mod json;
-pub mod prom;
 pub mod server;
 pub mod wire;
 

@@ -27,9 +27,10 @@ use crate::http::{
     error_bytes, is_idle_timeout, json_bytes, response_bytes, Request, RequestParser,
 };
 use crate::json::{self, Json};
-use crate::{prom, wire};
+use crate::wire;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -261,7 +262,11 @@ fn task_loop(rx: Arc<Mutex<Receiver<Task>>>) {
     loop {
         let task = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         match task {
-            Ok(task) => task(),
+            // A panicking handler drops its reply sender, which the waiting
+            // connection answers with 500 + close; this thread lives on.
+            Ok(task) => {
+                let _ = catch_unwind(AssertUnwindSafe(task));
+            }
             Err(_) => return, // every sender gone: shutdown.
         }
     }
@@ -376,7 +381,7 @@ fn route<N: ThreadedNetwork + 'static>(
         ("GET", ["v1", "metrics", "prometheus"]) => {
             let state = Arc::clone(state);
             dispatch(tasks, conn, keep_alive, move || {
-                let body = prom::exposition(&state.service.metrics());
+                let body = wire::metrics_to_prometheus(&state.service.metrics());
                 response_bytes(200, "text/plain; version=0.0.4", body.as_bytes(), close)
             });
         }
@@ -446,8 +451,8 @@ fn route<N: ThreadedNetwork + 'static>(
 }
 
 /// Parks `conn` and runs `work` on the task pool; the reply re-arms the
-/// connection. If the pool is gone (shutdown), the dropped sender
-/// surfaces as `500` + close on the next step.
+/// connection. If `work` panics or the pool is gone (shutdown), the
+/// dropped sender surfaces as `500` + close on the next step.
 fn dispatch<F>(tasks: &Sender<Task>, conn: &mut Conn<TcpStream>, keep_alive: bool, work: F)
 where
     F: FnOnce() -> Vec<u8> + Send + 'static,
@@ -542,6 +547,25 @@ mod tests {
         let osn = SimulatedOsn::new(barabasi_albert(400, 3, 5).unwrap());
         let service = SamplingService::builder(osn).pool_threads(1).build();
         GatewayServer::bind(service, "127.0.0.1:0").expect("bind loopback")
+    }
+
+    #[test]
+    fn a_panicking_task_does_not_kill_its_worker() {
+        let (tasks, rx) = std::sync::mpsc::channel::<Task>();
+        let worker = std::thread::spawn(move || task_loop(Arc::new(Mutex::new(rx))));
+        let (reply, replies) = std::sync::mpsc::channel();
+        tasks.send(Box::new(|| panic!("handler bug"))).unwrap();
+        tasks
+            .send(Box::new(move || reply.send("next").unwrap()))
+            .unwrap();
+        let next = replies.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            next,
+            Ok("next"),
+            "the one worker ran the task after the panic"
+        );
+        drop(tasks);
+        worker.join().expect("the worker exits cleanly at shutdown");
     }
 
     #[test]

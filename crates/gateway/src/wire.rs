@@ -25,6 +25,9 @@
 //! Events stream back as NDJSON, one object per line, discriminated by an
 //! `"event"` field (`sample` / `progress` / `done`) — the JSON shadows of
 //! [`SampleEvent`]'s variants.
+//!
+//! Both metrics documents, JSON and Prometheus, are loops over the one
+//! metrics table, [`ServiceMetricsSnapshot::table`].
 
 use crate::json::Json;
 use std::time::Duration;
@@ -36,6 +39,8 @@ use wnw_service::{
     ReuseCorrection, SampleEvent, SampleRequest, ServiceMetricsSnapshot, TraceEvent,
     TraceEventKind,
 };
+use wnw_telemetry::prometheus::Exposition;
+use wnw_telemetry::MetricValue;
 
 /// Parses a submit body into a [`SampleRequest`]. Messages are phrased for
 /// the remote client (they end up in a 400 response body).
@@ -263,151 +268,38 @@ pub fn outcome_to_json(outcome: &JobOutcome) -> Json {
     Json::obj(fields)
 }
 
-/// The `/v1/metrics` document: every snapshot counter, the derived
-/// shared-cache saving, the queue-wait aggregates, the raw pool cache
-/// stats, and the persistent worker pool's round-dispatch counters.
+/// The `/v1/metrics` document: one field per row of
+/// [`ServiceMetricsSnapshot::table`], in table order, with dotted keys
+/// (`pool.api_calls`) nested into objects.
 pub fn metrics_to_json(snapshot: &ServiceMetricsSnapshot) -> Json {
-    Json::obj(vec![
-        ("jobs_submitted", Json::UInt(snapshot.jobs_submitted)),
-        ("jobs_rejected", Json::UInt(snapshot.jobs_rejected)),
-        ("jobs_queued", Json::UInt(snapshot.jobs_queued)),
-        ("jobs_running", Json::UInt(snapshot.jobs_running)),
-        ("jobs_completed", Json::UInt(snapshot.jobs_completed)),
-        ("jobs_cancelled", Json::UInt(snapshot.jobs_cancelled)),
-        ("jobs_expired", Json::UInt(snapshot.jobs_expired)),
-        ("jobs_failed", Json::UInt(snapshot.jobs_failed)),
-        ("jobs_degraded", Json::UInt(snapshot.jobs_degraded)),
-        ("walkers_degraded", Json::UInt(snapshot.walkers_degraded)),
-        ("jobs_finished", Json::UInt(snapshot.jobs_finished)),
-        ("jobs_started", Json::UInt(snapshot.jobs_started)),
-        ("samples_delivered", Json::UInt(snapshot.samples_delivered)),
-        (
-            "aggregate_query_cost",
-            Json::UInt(snapshot.aggregate_query_cost),
-        ),
-        (
-            "isolated_query_cost",
-            Json::UInt(snapshot.isolated_query_cost),
-        ),
-        (
-            "shared_cache_savings",
-            Json::UInt(snapshot.shared_cache_savings()),
-        ),
-        ("budget_refunded", Json::UInt(snapshot.budget_refunded)),
-        (
-            "mean_latency_ms",
-            Json::Num(duration_ms(snapshot.mean_latency)),
-        ),
-        (
-            "mean_queue_wait_ms",
-            Json::Num(duration_ms(snapshot.mean_queue_wait)),
-        ),
-        (
-            "max_queue_wait_ms",
-            Json::Num(duration_ms(snapshot.max_queue_wait)),
-        ),
-        (
-            "pool",
-            Json::obj(vec![
-                ("unique_nodes", Json::UInt(snapshot.pool.unique_nodes)),
-                ("api_calls", Json::UInt(snapshot.pool.api_calls)),
-                ("cache_hits", Json::UInt(snapshot.pool.cache_hits)),
-                ("attribute_reads", Json::UInt(snapshot.pool.attribute_reads)),
-            ]),
-        ),
-        (
-            "worker_pool",
-            Json::obj(vec![
-                ("workers", Json::UInt(snapshot.worker_pool.workers)),
-                (
-                    "rounds_dispatched",
-                    Json::UInt(snapshot.worker_pool.rounds_dispatched),
-                ),
-                (
-                    "spawnless_rounds",
-                    Json::UInt(snapshot.worker_pool.spawnless_rounds),
-                ),
-                (
-                    "worker_wakeups",
-                    Json::UInt(snapshot.worker_pool.worker_wakeups),
-                ),
-            ]),
-        ),
-        (
-            "history",
-            Json::obj(vec![
-                ("hits", Json::UInt(snapshot.history.hits)),
-                ("misses", Json::UInt(snapshot.history.misses)),
-                ("publications", Json::UInt(snapshot.history.publications)),
-                (
-                    "published_walks",
-                    Json::UInt(snapshot.history.published_walks),
-                ),
-                ("reused_walks", Json::UInt(snapshot.history.reused_walks)),
-                ("reuse_savings", Json::UInt(snapshot.history.reuse_savings)),
-                ("epoch", Json::UInt(snapshot.history.epoch)),
-            ]),
-        ),
-        (
-            "resilience",
-            Json::obj(vec![
-                ("calls", Json::UInt(snapshot.resilience.calls)),
-                ("faults_seen", Json::UInt(snapshot.resilience.faults_seen)),
-                ("retries", Json::UInt(snapshot.resilience.retries)),
-                (
-                    "backoff_wait_secs",
-                    Json::UInt(snapshot.resilience.backoff_wait_secs),
-                ),
-                (
-                    "rate_limit_honored",
-                    Json::UInt(snapshot.resilience.rate_limit_honored),
-                ),
-                (
-                    "retries_exhausted",
-                    Json::UInt(snapshot.resilience.retries_exhausted),
-                ),
-                ("recovered", Json::UInt(snapshot.resilience.recovered)),
-                (
-                    "breaker_opened",
-                    Json::UInt(snapshot.resilience.breaker_opened),
-                ),
-                (
-                    "breaker_half_open_probes",
-                    Json::UInt(snapshot.resilience.breaker_half_open_probes),
-                ),
-                (
-                    "breaker_fast_fails",
-                    Json::UInt(snapshot.resilience.breaker_fast_fails),
-                ),
-                ("breaker_open", Json::Bool(snapshot.resilience.breaker_open)),
-                ("clock_secs", Json::UInt(snapshot.resilience.clock_secs)),
-            ]),
-        ),
-        (
-            "queue_wait_histogram",
-            histogram_to_json(&snapshot.queue_wait_histogram),
-        ),
-        (
-            "latency_histogram",
-            histogram_to_json(&snapshot.latency_histogram),
-        ),
-        (
-            "first_sample_histogram",
-            histogram_to_json(&snapshot.first_sample_histogram),
-        ),
-        (
-            "job_cost_histogram",
-            histogram_to_json(&snapshot.job_cost_histogram),
-        ),
-        (
-            "round_duration_histogram",
-            histogram_to_json(&snapshot.round_duration_histogram),
-        ),
-        (
-            "retries_per_query_histogram",
-            histogram_to_json(&snapshot.resilience.retries_per_call),
-        ),
-    ])
+    let mut fields: Vec<(String, Json)> = Vec::new();
+    for metric in snapshot.table() {
+        let value = match metric.value {
+            MetricValue::Counter(n) | MetricValue::Gauge(n) => Json::UInt(n),
+            MetricValue::Flag(on) => Json::Bool(on),
+            MetricValue::Millis(d) => Json::Num(duration_ms(d)),
+            MetricValue::Histogram(h) => histogram_to_json(h),
+        };
+        let Some((object, key)) = metric.key.split_once('.') else {
+            fields.push((metric.key.to_string(), value));
+            continue;
+        };
+        if fields.last().map(|(name, _)| name.as_str()) != Some(object) {
+            fields.push((object.to_string(), Json::Obj(Vec::new())));
+        }
+        if let Some((_, Json::Obj(nested))) = fields.last_mut() {
+            nested.push((key.to_string(), value));
+        }
+    }
+    Json::Obj(fields)
+}
+
+/// The `/v1/metrics/prometheus` document: one family per row of
+/// [`ServiceMetricsSnapshot::table`] that names one.
+pub fn metrics_to_prometheus(snapshot: &ServiceMetricsSnapshot) -> String {
+    let mut exposition = Exposition::new();
+    exposition.metrics(&snapshot.table());
+    exposition.finish()
 }
 
 /// A histogram snapshot as its JSON summary: the aggregates, the standard
@@ -655,6 +547,99 @@ mod tests {
         assert!(!json.encode().contains('\n'));
     }
 
+    #[test]
+    fn histograms_encode_quantiles_and_sparse_buckets() {
+        use wnw_service::Histogram;
+
+        let h = Histogram::new();
+        for v in [100u64, 100, 200, 5_000] {
+            h.record(v);
+        }
+        let json = histogram_to_json(&h.snapshot());
+        assert_eq!(json.get("count").unwrap().as_u64(), Some(4));
+        assert_eq!(json.get("sum").unwrap().as_u64(), Some(5_400));
+        assert_eq!(json.get("min").unwrap().as_u64(), Some(100));
+        assert_eq!(json.get("max").unwrap().as_u64(), Some(5_000));
+        assert_eq!(json.get("mean").unwrap().as_f64(), Some(1_350.0));
+        let p50 = json.get("p50").unwrap().as_u64().unwrap();
+        assert!((100..=200).contains(&p50), "p50 was {p50}");
+        // The tail quantile the SLO evaluator reads: at 4 observations it
+        // collapses to the exact max.
+        assert_eq!(json.get("p999").unwrap().as_u64(), Some(5_000));
+        let Json::Arr(buckets) = json.get("buckets").unwrap() else {
+            panic!("buckets must be an array");
+        };
+        assert_eq!(buckets.len(), 3, "three distinct buckets are occupied");
+        let les: Vec<u64> = buckets
+            .iter()
+            .map(|b| b.get("le").unwrap().as_u64().unwrap())
+            .collect();
+        assert!(les.windows(2).all(|w| w[0] < w[1]), "ascending le grid");
+        let total: u64 = buckets
+            .iter()
+            .map(|b| b.get("count").unwrap().as_u64().unwrap())
+            .sum();
+        assert_eq!(total, 4, "bucket counts are per-bucket, not cumulative");
+
+        let empty = histogram_to_json(&HistogramSnapshot::default());
+        assert_eq!(empty.get("count").unwrap().as_u64(), Some(0));
+        assert!(matches!(empty.get("buckets"), Some(Json::Arr(b)) if b.is_empty()));
+    }
+
+    #[test]
+    fn trace_events_encode_with_their_payloads() {
+        let event = |kind| TraceEvent {
+            job: 7,
+            at: Duration::from_micros(1_500),
+            kind,
+        };
+        let submitted = trace_event_to_json(&event(TraceEventKind::Submitted));
+        assert_eq!(submitted.get("event").unwrap().as_str(), Some("submitted"));
+        assert_eq!(submitted.get("job_id").unwrap().as_u64(), Some(7));
+        assert_eq!(submitted.get("at_us").unwrap().as_u64(), Some(1_500));
+        assert!(submitted.get("queries").is_none());
+        assert!(submitted.get("status").is_none());
+
+        let round = trace_event_to_json(&event(TraceEventKind::RoundCompleted { queries: 42 }));
+        assert_eq!(
+            round.get("event").unwrap().as_str(),
+            Some("round_completed")
+        );
+        assert_eq!(round.get("queries").unwrap().as_u64(), Some(42));
+
+        let finished = trace_event_to_json(&event(TraceEventKind::Finished {
+            status: "completed",
+        }));
+        assert_eq!(finished.get("event").unwrap().as_str(), Some("finished"));
+        assert_eq!(finished.get("status").unwrap().as_str(), Some("completed"));
+    }
+
+    #[test]
+    fn failed_outcomes_carry_the_error() {
+        let outcome = JobOutcome {
+            id: JobId(0),
+            status: JobStatus::Panicked("sampler exploded".to_string()),
+            samples: 0,
+            requested: 1,
+            query_cost: 0,
+            budget_consumed: 0,
+            budget_refunded: 0,
+            budget_exhausted: false,
+            degraded: false,
+            degraded_walkers: 0,
+            rounds: 0,
+            latency: Duration::ZERO,
+            queue_wait: Duration::ZERO,
+            finish_index: 0,
+        };
+        let json = outcome_to_json(&outcome);
+        assert_eq!(json.get("status").unwrap().as_str(), Some("panicked"));
+        assert_eq!(
+            json.get("error").unwrap().as_str(),
+            Some("sampler exploded")
+        );
+    }
+
     /// A fully populated snapshot shared by the metrics-document tests.
     fn sample_snapshot() -> ServiceMetricsSnapshot {
         use wnw_access::counter::QueryStats;
@@ -875,98 +860,5 @@ mod tests {
             assert_eq!(doc.get("count").unwrap().as_u64(), Some(expected.count));
             assert_eq!(doc.get("sum").unwrap().as_u64(), Some(expected.sum));
         }
-    }
-
-    #[test]
-    fn histograms_encode_quantiles_and_sparse_buckets() {
-        use wnw_service::Histogram;
-
-        let h = Histogram::new();
-        for v in [100u64, 100, 200, 5_000] {
-            h.record(v);
-        }
-        let json = histogram_to_json(&h.snapshot());
-        assert_eq!(json.get("count").unwrap().as_u64(), Some(4));
-        assert_eq!(json.get("sum").unwrap().as_u64(), Some(5_400));
-        assert_eq!(json.get("min").unwrap().as_u64(), Some(100));
-        assert_eq!(json.get("max").unwrap().as_u64(), Some(5_000));
-        assert_eq!(json.get("mean").unwrap().as_f64(), Some(1_350.0));
-        let p50 = json.get("p50").unwrap().as_u64().unwrap();
-        assert!((100..=200).contains(&p50), "p50 was {p50}");
-        // The tail quantile the SLO evaluator reads: at 4 observations it
-        // collapses to the exact max.
-        assert_eq!(json.get("p999").unwrap().as_u64(), Some(5_000));
-        let Json::Arr(buckets) = json.get("buckets").unwrap() else {
-            panic!("buckets must be an array");
-        };
-        assert_eq!(buckets.len(), 3, "three distinct buckets are occupied");
-        let les: Vec<u64> = buckets
-            .iter()
-            .map(|b| b.get("le").unwrap().as_u64().unwrap())
-            .collect();
-        assert!(les.windows(2).all(|w| w[0] < w[1]), "ascending le grid");
-        let total: u64 = buckets
-            .iter()
-            .map(|b| b.get("count").unwrap().as_u64().unwrap())
-            .sum();
-        assert_eq!(total, 4, "bucket counts are per-bucket, not cumulative");
-
-        let empty = histogram_to_json(&HistogramSnapshot::default());
-        assert_eq!(empty.get("count").unwrap().as_u64(), Some(0));
-        assert!(matches!(empty.get("buckets"), Some(Json::Arr(b)) if b.is_empty()));
-    }
-
-    #[test]
-    fn trace_events_encode_with_their_payloads() {
-        let event = |kind| TraceEvent {
-            job: 7,
-            at: Duration::from_micros(1_500),
-            kind,
-        };
-        let submitted = trace_event_to_json(&event(TraceEventKind::Submitted));
-        assert_eq!(submitted.get("event").unwrap().as_str(), Some("submitted"));
-        assert_eq!(submitted.get("job_id").unwrap().as_u64(), Some(7));
-        assert_eq!(submitted.get("at_us").unwrap().as_u64(), Some(1_500));
-        assert!(submitted.get("queries").is_none());
-        assert!(submitted.get("status").is_none());
-
-        let round = trace_event_to_json(&event(TraceEventKind::RoundCompleted { queries: 42 }));
-        assert_eq!(
-            round.get("event").unwrap().as_str(),
-            Some("round_completed")
-        );
-        assert_eq!(round.get("queries").unwrap().as_u64(), Some(42));
-
-        let finished = trace_event_to_json(&event(TraceEventKind::Finished {
-            status: "completed",
-        }));
-        assert_eq!(finished.get("event").unwrap().as_str(), Some("finished"));
-        assert_eq!(finished.get("status").unwrap().as_str(), Some("completed"));
-    }
-
-    #[test]
-    fn failed_outcomes_carry_the_error() {
-        let outcome = JobOutcome {
-            id: JobId(0),
-            status: JobStatus::Panicked("sampler exploded".to_string()),
-            samples: 0,
-            requested: 1,
-            query_cost: 0,
-            budget_consumed: 0,
-            budget_refunded: 0,
-            budget_exhausted: false,
-            degraded: false,
-            degraded_walkers: 0,
-            rounds: 0,
-            latency: Duration::ZERO,
-            queue_wait: Duration::ZERO,
-            finish_index: 0,
-        };
-        let json = outcome_to_json(&outcome);
-        assert_eq!(json.get("status").unwrap().as_str(), Some("panicked"));
-        assert_eq!(
-            json.get("error").unwrap().as_str(),
-            Some("sampler exploded")
-        );
     }
 }

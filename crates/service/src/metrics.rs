@@ -2,9 +2,10 @@
 //!
 //! [`ServiceMetrics`] is a lock-free bundle of atomic counters updated by
 //! the submit path and the scheduler; [`ServiceMetricsSnapshot`] is the
-//! consistent-enough copy handed to callers (and shaped for a future HTTP
-//! `/metrics` frontend: every field is a plain integer gauge/counter plus
-//! the pool's [`QueryStats`]).
+//! consistent-enough copy handed to callers. Its
+//! [`table`](ServiceMetricsSnapshot::table) declares every metric once; the
+//! gateway renders that table as the `/v1/metrics` JSON document and as the
+//! Prometheus scrape.
 
 use crate::stream::{JobOutcome, JobStatus};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,7 +14,7 @@ use wnw_access::counter::QueryStats;
 use wnw_access::ResilienceStats;
 use wnw_engine::HistoryStoreStats;
 use wnw_runtime::PoolStats;
-use wnw_telemetry::{saturating_micros, Histogram, HistogramSnapshot};
+use wnw_telemetry::{saturating_micros, Histogram, HistogramSnapshot, Metric, MetricValue};
 
 /// Atomic counters describing the service's lifetime so far.
 #[derive(Debug, Default)]
@@ -318,12 +319,154 @@ impl ServiceMetricsSnapshot {
         self.isolated_query_cost
             .saturating_sub(self.aggregate_query_cost)
     }
+
+    /// Every metric the service exposes, each declared once: its
+    /// `/v1/metrics` JSON key, its Prometheus family (`None` for the
+    /// JSON-only values), its help text and its typed value. Both wire
+    /// formats render this table, in this order — the order of the JSON
+    /// document.
+    ///
+    /// The snapshot and its embedded stats are destructured without `..`,
+    /// so a new field fails to compile until it has a row here.
+    #[rustfmt::skip] // one row per line: the table reads as a table
+    pub fn table(&self) -> [Metric<'_>; 53] {
+        use MetricValue::{Counter, Flag, Gauge, Histogram, Millis};
+        let row = |key, family, help, value| Metric {
+            key,
+            family,
+            help,
+            value,
+        };
+        let Self {
+            jobs_submitted,
+            jobs_rejected,
+            jobs_queued,
+            jobs_running,
+            jobs_completed,
+            jobs_cancelled,
+            jobs_expired,
+            jobs_failed,
+            jobs_degraded,
+            walkers_degraded,
+            jobs_finished,
+            samples_delivered,
+            aggregate_query_cost,
+            isolated_query_cost,
+            budget_refunded,
+            mean_latency,
+            jobs_started,
+            mean_queue_wait,
+            max_queue_wait,
+            pool,
+            worker_pool,
+            history,
+            resilience,
+            queue_wait_histogram,
+            latency_histogram,
+            first_sample_histogram,
+            job_cost_histogram,
+            round_duration_histogram,
+        } = self;
+        let QueryStats {
+            unique_nodes,
+            api_calls,
+            cache_hits,
+            attribute_reads,
+        } = pool;
+        let PoolStats {
+            workers,
+            rounds_dispatched,
+            spawnless_rounds,
+            worker_wakeups,
+        } = worker_pool;
+        let HistoryStoreStats {
+            hits,
+            misses,
+            publications,
+            published_walks,
+            reused_walks,
+            reuse_savings,
+            epoch,
+        } = history;
+        let ResilienceStats {
+            calls,
+            faults_seen,
+            retries,
+            backoff_wait_secs,
+            rate_limit_honored,
+            retries_exhausted,
+            recovered,
+            breaker_opened,
+            breaker_half_open_probes,
+            breaker_fast_fails,
+            breaker_open,
+            clock_secs,
+            retries_per_call,
+        } = resilience;
+        [
+            row("jobs_submitted", Some("wnw_jobs_submitted_total"), "requests admitted", Counter(*jobs_submitted)),
+            row("jobs_rejected", Some("wnw_jobs_rejected_total"), "requests refused at the door", Counter(*jobs_rejected)),
+            row("jobs_queued", Some("wnw_jobs_queued"), "jobs admitted but not yet scheduled", Gauge(*jobs_queued)),
+            row("jobs_running", Some("wnw_jobs_running"), "jobs currently holding walker slots", Gauge(*jobs_running)),
+            row("jobs_completed", Some("wnw_jobs_completed_total"), "jobs that met their quota or ran their budget out", Counter(*jobs_completed)),
+            row("jobs_cancelled", Some("wnw_jobs_cancelled_total"), "jobs cancelled by the caller or a dropped stream", Counter(*jobs_cancelled)),
+            row("jobs_expired", Some("wnw_jobs_expired_total"), "jobs stopped at their deadline", Counter(*jobs_expired)),
+            row("jobs_failed", Some("wnw_jobs_failed_total"), "jobs stopped by an access error or sampler panic", Counter(*jobs_failed)),
+            row("jobs_degraded", Some("wnw_jobs_degraded_total"), "jobs finished as degraded partials (a walker was stopped by a fault)", Counter(*jobs_degraded)),
+            row("walkers_degraded", Some("wnw_walkers_degraded_total"), "walkers stopped by a transient fault, exhausted retries, or an open breaker", Counter(*walkers_degraded)),
+            row("jobs_finished", Some("wnw_jobs_finished_total"), "total terminal jobs", Counter(*jobs_finished)),
+            row("jobs_started", Some("wnw_jobs_started_total"), "jobs that left the queue", Counter(*jobs_started)),
+            row("samples_delivered", Some("wnw_samples_delivered_total"), "samples streamed to consumers", Counter(*samples_delivered)),
+            row("aggregate_query_cost", Some("wnw_aggregate_query_cost_total"), "distinct nodes the service paid for across all jobs", Counter(*aggregate_query_cost)),
+            row("isolated_query_cost", Some("wnw_isolated_query_cost_total"), "what the finished jobs would have paid as isolated runs", Counter(*isolated_query_cost)),
+            row("shared_cache_savings", Some("wnw_shared_cache_savings"), "unique-node queries saved by cross-job cache sharing", Gauge(self.shared_cache_savings())),
+            row("budget_refunded", Some("wnw_budget_refunded_total"), "unused query budget returned by early-stopped jobs", Counter(*budget_refunded)),
+            row("mean_latency_ms", None, "mean submit-to-done latency over finished jobs", Millis(*mean_latency)),
+            row("mean_queue_wait_ms", None, "mean admission-to-first-round queue wait", Millis(*mean_queue_wait)),
+            row("max_queue_wait_ms", None, "worst admission-to-first-round queue wait", Millis(*max_queue_wait)),
+            row("pool.unique_nodes", Some("wnw_pool_unique_nodes_total"), "distinct nodes charged by the shared pool cache", Counter(*unique_nodes)),
+            row("pool.api_calls", Some("wnw_pool_api_calls_total"), "neighbor-list fetches that went to the network", Counter(*api_calls)),
+            row("pool.cache_hits", Some("wnw_pool_cache_hits_total"), "neighbor-list fetches served from the shared cache", Counter(*cache_hits)),
+            row("pool.attribute_reads", Some("wnw_pool_attribute_reads_total"), "node attribute reads", Counter(*attribute_reads)),
+            row("worker_pool.workers", Some("wnw_worker_pool_workers"), "threads spawned at pool startup (constant: the zero-spawn guarantee)", Gauge(*workers)),
+            row("worker_pool.rounds_dispatched", Some("wnw_worker_pool_rounds_dispatched_total"), "rounds fanned over the parked workers", Counter(*rounds_dispatched)),
+            row("worker_pool.spawnless_rounds", Some("wnw_worker_pool_spawnless_rounds_total"), "rounds run inline on the scheduler thread", Counter(*spawnless_rounds)),
+            row("worker_pool.worker_wakeups", Some("wnw_worker_pool_worker_wakeups_total"), "times a parked worker woke and found work", Counter(*worker_wakeups)),
+            row("history.hits", Some("wnw_history_hits_total"), "admissions that found a published walk history", Counter(*hits)),
+            row("history.misses", Some("wnw_history_misses_total"), "admissions that looked for a history and found none", Counter(*misses)),
+            row("history.publications", Some("wnw_history_publications_total"), "history publications (epoch bumps)", Counter(*publications)),
+            row("history.published_walks", Some("wnw_history_published_walks_total"), "walk entries published to the history store", Counter(*published_walks)),
+            row("history.reused_walks", Some("wnw_history_reused_walks_total"), "walk entries inherited by reusing jobs", Counter(*reused_walks)),
+            row("history.reuse_savings", Some("wnw_history_reuse_savings_total"), "unique-node query cost inherited instead of re-spent", Counter(*reuse_savings)),
+            row("history.epoch", Some("wnw_history_epoch"), "current history-store epoch", Gauge(*epoch)),
+            row("resilience.calls", Some("wnw_resilience_calls_total"), "neighbor fetches that entered the retry layer", Counter(*calls)),
+            row("resilience.faults_seen", Some("wnw_resilience_faults_seen_total"), "retryable faults observed across all attempts", Counter(*faults_seen)),
+            row("resilience.retries", Some("wnw_resilience_retries_total"), "retry attempts after a retryable fault", Counter(*retries)),
+            row("resilience.backoff_wait_secs", Some("wnw_resilience_backoff_wait_seconds_total"), "simulated seconds spent waiting in backoff", Counter(*backoff_wait_secs)),
+            row("resilience.rate_limit_honored", Some("wnw_resilience_rate_limit_honored_total"), "rate-limit rejections whose retry_after was honored exactly", Counter(*rate_limit_honored)),
+            row("resilience.retries_exhausted", Some("wnw_resilience_retries_exhausted_total"), "calls that failed after the full retry budget", Counter(*retries_exhausted)),
+            row("resilience.recovered", Some("wnw_resilience_recovered_total"), "calls that succeeded after at least one retry", Counter(*recovered)),
+            row("resilience.breaker_opened", Some("wnw_resilience_breaker_opened_total"), "circuit-breaker trips (closed-to-open transitions)", Counter(*breaker_opened)),
+            row("resilience.breaker_half_open_probes", Some("wnw_resilience_breaker_half_open_probes_total"), "probe calls admitted while the breaker was half-open", Counter(*breaker_half_open_probes)),
+            row("resilience.breaker_fast_fails", Some("wnw_resilience_breaker_fast_fails_total"), "calls rejected immediately by an open breaker", Counter(*breaker_fast_fails)),
+            row("resilience.breaker_open", Some("wnw_resilience_breaker_open"), "whether the circuit breaker is currently open (1) or not (0)", Flag(*breaker_open)),
+            row("resilience.clock_secs", None, "the resilience layer's simulated clock in seconds", Counter(*clock_secs)),
+            row("queue_wait_histogram", Some("wnw_queue_wait_us"), "admission-to-first-round queue wait in microseconds", Histogram(queue_wait_histogram)),
+            row("latency_histogram", Some("wnw_job_latency_us"), "submit-to-done latency in microseconds over finished jobs", Histogram(latency_histogram)),
+            row("first_sample_histogram", Some("wnw_time_to_first_sample_us"), "submit-to-first-delivered-sample latency in microseconds", Histogram(first_sample_histogram)),
+            row("job_cost_histogram", Some("wnw_job_query_cost"), "unique-node queries per finished job", Histogram(job_cost_histogram)),
+            row("round_duration_histogram", Some("wnw_round_duration_us"), "scheduler batch duration in microseconds, one per wave of job rounds (empty with telemetry off)", Histogram(round_duration_histogram)),
+            row("retries_per_query_histogram", Some("wnw_resilience_retries_per_query"), "retries needed per successful neighbor fetch", Histogram(retries_per_call)),
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::JobId;
+    use std::collections::BTreeSet;
+    use wnw_telemetry::prometheus::{validate, Exposition};
 
     fn outcome(status: JobStatus, samples: usize, cost: u64) -> JobOutcome {
         JobOutcome {
@@ -508,5 +651,78 @@ mod tests {
         assert!(snap.first_sample_histogram.is_empty());
         assert!(snap.job_cost_histogram.is_empty());
         assert!(snap.round_duration_histogram.is_empty());
+    }
+
+    fn exposition(snap: &ServiceMetricsSnapshot) -> String {
+        let mut exp = Exposition::new();
+        exp.metrics(&snap.table());
+        exp.finish()
+    }
+
+    #[test]
+    fn exposition_is_valid_and_carries_every_family() {
+        let metrics = ServiceMetrics::default();
+        metrics.try_admit(4).unwrap();
+        metrics.on_submit();
+        metrics.on_start(Duration::from_micros(120));
+        metrics.on_finish(&outcome(JobStatus::Completed, 10, 40), 10);
+        let snap = metrics.snapshot(
+            QueryStats {
+                unique_nodes: 30,
+                ..QueryStats::default()
+            },
+            PoolStats::default(),
+            HistoryStoreStats::default(),
+            ResilienceStats::default(),
+        );
+        let table = snap.table();
+        let keys: BTreeSet<_> = table.iter().map(|m| m.key).collect();
+        let families: BTreeSet<_> = table.iter().filter_map(|m| m.family).collect();
+        assert_eq!(keys.len(), table.len(), "JSON keys are unique");
+        assert_eq!(families.len(), 49, "family names are unique");
+
+        let text = exposition(&snap);
+        let stats = validate(&text).expect("document validates");
+        assert_eq!((stats.families, stats.histograms), (49, 6));
+        for family in families {
+            assert!(
+                text.contains(&format!("# TYPE {family} ")),
+                "missing `{family}`"
+            );
+        }
+        for needle in [
+            "wnw_jobs_submitted_total 1\n",
+            "wnw_jobs_completed_total 1\n",
+            "wnw_aggregate_query_cost_total 30\n",
+            "wnw_shared_cache_savings 10\n",
+            "wnw_resilience_breaker_open 0\n",
+            "wnw_queue_wait_us_count 1\n",
+            "wnw_job_query_cost_sum 40\n",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn empty_snapshot_still_exposes_complete_histogram_families() {
+        let snap = ServiceMetrics::default().snapshot(
+            QueryStats::default(),
+            PoolStats::default(),
+            HistoryStoreStats::default(),
+            ResilienceStats::default(),
+        );
+        let text = exposition(&snap);
+        validate(&text).expect("empty histograms are still well-formed");
+        for family in snap.table().iter().filter_map(|m| match m.value {
+            MetricValue::Histogram(_) => m.family,
+            _ => None,
+        }) {
+            for series in ["_bucket{le=\"+Inf\"} 0\n", "_sum 0\n", "_count 0\n"] {
+                assert!(
+                    text.contains(&format!("{family}{series}")),
+                    "{family}{series}"
+                );
+            }
+        }
     }
 }

@@ -57,9 +57,9 @@ pub fn saturating_micros(d: Duration) -> u64 {
 /// A lock-free log-bucketed histogram over `u64` values.
 ///
 /// Writers call [`record`](Self::record) concurrently from any thread;
-/// readers take a [`snapshot`](Self::snapshot) (buckets are read
-/// one-by-one, so a snapshot taken during concurrent writes may be mid-sum
-/// by a few events — fine for monitoring, which is the use case).
+/// readers take a [`snapshot`](Self::snapshot). Buckets are read one by
+/// one, so a snapshot taken during concurrent writes may miss a few
+/// events, but it is always self-consistent (see `snapshot`).
 ///
 /// The running `sum` wraps on overflow after ~1.8 × 10¹⁹ recorded
 /// microseconds (≈ 585 000 device-years of latency) — accepted for a
@@ -154,16 +154,34 @@ impl Histogram {
     }
 
     /// A point-in-time copy of every bucket and aggregate.
+    ///
+    /// Self-consistent even while [`record`](Self::record) runs on other
+    /// threads: `count` is the sum of the buckets read, and when a racing
+    /// `record` has left the exact `min`/`max` outside the first/last
+    /// non-empty bucket (or `min > max`), they fall back to those buckets'
+    /// bounds.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts = std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed));
-        let count = self.count.load(Ordering::Relaxed);
+        let counts: [u64; BUCKET_COUNT] =
+            std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed));
+        let occupied = |&n: &u64| n > 0;
+        let (Some(first), Some(last)) = (
+            counts.iter().position(occupied),
+            counts.iter().rposition(occupied),
+        ) else {
+            return HistogramSnapshot::default();
+        };
+        let (low, high) = (bucket_bounds(first).0, bucket_bounds(last).1);
         let min = self.min.load(Ordering::Relaxed);
+        let max = self.max.load(Ordering::Relaxed);
+        let min = if bucket_index(min) == first { min } else { low };
+        let max = if bucket_index(max) == last { max } else { high };
+        let (min, max) = if min <= max { (min, max) } else { (low, high) };
         HistogramSnapshot {
             counts,
-            count,
+            count: counts.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { min },
-            max: self.max.load(Ordering::Relaxed),
+            min,
+            max,
         }
     }
 }
@@ -245,7 +263,13 @@ impl HistogramSnapshot {
             if seen >= rank {
                 let (low, high) = bucket_bounds(i);
                 let mid = low + (high - low) / 2;
-                return mid.clamp(self.min, self.max);
+                // `clamp` panics when min > max, which a hand-built
+                // snapshot may hold; keep the midpoint then.
+                return if self.min <= self.max {
+                    mid.clamp(self.min, self.max)
+                } else {
+                    mid
+                };
             }
         }
         self.max
@@ -433,5 +457,47 @@ mod tests {
         assert_eq!(snap.quantile(1.0), u64::MAX);
         let debug = format!("{snap:?}");
         assert!(debug.contains("count"), "debug form is a summary: {debug}");
+    }
+
+    #[test]
+    fn torn_snapshots_do_not_panic_in_quantile() {
+        let mut torn = HistogramSnapshot {
+            count: 1,
+            sum: 7,
+            min: u64::MAX,
+            max: 0,
+            ..HistogramSnapshot::default()
+        };
+        assert_eq!(torn.quantile(0.5), 0, "no bucket holds the rank");
+        torn.counts[bucket_index(7)] = 1;
+        assert_eq!(torn.quantile(0.5), 6, "the bucket midpoint");
+    }
+
+    #[test]
+    fn snapshots_racing_records_are_self_consistent() {
+        // One writer fills fresh histograms; the reader snapshots whichever
+        // one is being written, where a torn read is most likely.
+        const HISTOGRAMS: usize = 2_000;
+        let histograms: Vec<Histogram> = (0..HISTOGRAMS).map(|_| Histogram::new()).collect();
+        let current = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (i, h) in histograms.iter().enumerate() {
+                    current.store(i, Ordering::Relaxed);
+                    h.record(1_000 + i as u64);
+                    h.record(i as u64);
+                }
+                current.store(HISTOGRAMS, Ordering::Relaxed);
+            });
+            loop {
+                let i = current.load(Ordering::Relaxed);
+                let Some(h) = histograms.get(i) else { break };
+                let snap = h.snapshot();
+                assert_eq!(snap.counts.iter().sum::<u64>(), snap.count, "{snap:?}");
+                assert!(snap.min <= snap.max, "{snap:?}");
+                let p50 = snap.quantile(0.5);
+                assert!(snap.count == 0 || (snap.min..=snap.max).contains(&p50));
+            }
+        });
     }
 }

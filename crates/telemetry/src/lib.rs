@@ -10,8 +10,9 @@
 //!   values. `record` is a handful of relaxed atomic adds; quantile
 //!   estimates are within one bucket (≤ 25 % relative error) of the exact
 //!   order statistic.
-//! * [`Recorder`] — a named-metric registry bundling counters, gauges, and
-//!   histograms behind one consistent [`snapshot`](Recorder::snapshot).
+//! * [`Metric`] — one row of a metrics table: JSON key, Prometheus family,
+//!   help text and typed [`MetricValue`], so a component declares each
+//!   metric once and every renderer loops over the same rows.
 //! * [`TraceLog`] — a bounded, lock-striped ring buffer of per-job
 //!   lifecycle [`TraceEvent`]s, each stamped with a monotonic timestamp, so
 //!   a slow job's life (`Submitted` → `Admitted` → rounds → `Finished`) can
@@ -23,23 +24,11 @@
 //!
 //! ## Metric naming
 //!
-//! The gateway's `GET /v1/metrics/prometheus` endpoint maps the service
-//! snapshot onto `wnw_*`-prefixed series:
-//!
-//! | Series | Kind | Meaning |
-//! |---|---|---|
-//! | `wnw_jobs_submitted_total`, `wnw_jobs_rejected_total`, `wnw_jobs_completed_total`, `wnw_jobs_cancelled_total`, `wnw_jobs_expired_total`, `wnw_jobs_failed_total`, `wnw_jobs_finished_total`, `wnw_jobs_started_total` | counter | job lifecycle counters |
-//! | `wnw_jobs_queued`, `wnw_jobs_running` | gauge | jobs currently queued / holding walker slots |
-//! | `wnw_samples_delivered_total`, `wnw_budget_refunded_total` | counter | delivery and refund totals |
-//! | `wnw_aggregate_query_cost_total`, `wnw_isolated_query_cost_total`, `wnw_shared_cache_savings` | counter / gauge | the paper's query-cost ledger |
-//! | `wnw_pool_*_total` | counter | shared neighbor-cache counters |
-//! | `wnw_worker_pool_*` | counter / gauge | persistent worker-pool round dispatch |
-//! | `wnw_history_*` | counter / gauge | cross-job history-store reuse |
-//! | `wnw_jobs_degraded_total`, `wnw_walkers_degraded_total` | counter | jobs finished as degraded partials / walkers stopped by faults |
-//! | `wnw_resilience_*_total` | counter | retry/backoff/breaker counters (calls, faults seen, retries, backoff-wait seconds, honored rate limits, exhausted retries, recoveries, breaker trips, half-open probes, fast-fails) |
-//! | `wnw_resilience_breaker_open` | gauge | whether the circuit breaker is currently open |
-//! | `wnw_queue_wait_us`, `wnw_job_latency_us`, `wnw_time_to_first_sample_us`, `wnw_round_duration_us` | histogram | microsecond latency distributions |
-//! | `wnw_job_query_cost` | histogram | unique-node queries per finished job |
+//! The service's metrics — their JSON keys, `wnw_*` Prometheus families
+//! and help texts — are listed once, in
+//! [`ServiceMetricsSnapshot::table`](../wnw_service/metrics/struct.ServiceMetricsSnapshot.html#method.table)
+//! in `wnw-service`. The gateway's `GET /v1/metrics` and
+//! `GET /v1/metrics/prometheus` both render that table.
 //!
 //! ```
 //! use wnw_telemetry::Histogram;
@@ -58,12 +47,12 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
+pub mod metric;
 pub mod prometheus;
-pub mod recorder;
 pub mod trace;
 
 pub use histogram::{
     bucket_bounds, bucket_index, saturating_micros, Histogram, HistogramSnapshot, BUCKET_COUNT,
 };
-pub use recorder::{Counter, Gauge, Recorder, RecorderSnapshot};
+pub use metric::{Metric, MetricValue};
 pub use trace::{TraceEvent, TraceEventKind, TraceLog, DEFAULT_TRACE_CAPACITY};

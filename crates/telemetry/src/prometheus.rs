@@ -10,6 +10,9 @@
 //! grids are valid exposition), so a family costs a handful of lines, not
 //! 128.
 //!
+//! [`Exposition::metrics`] renders a whole metrics table, one family per
+//! [`Metric`] row that names one.
+//!
 //! [`validate`] machine-checks a scrape: every series must belong to a
 //! `# TYPE`d family, histogram buckets must be cumulative over an ascending
 //! `le` grid ending in `+Inf`, and `_count` must agree with the `+Inf`
@@ -17,7 +20,7 @@
 //! response through it.
 
 use crate::histogram::HistogramSnapshot;
-use crate::recorder::RecorderSnapshot;
+use crate::metric::{Metric, MetricValue};
 use std::collections::BTreeMap;
 
 /// Whether `name` is a legal Prometheus metric name
@@ -103,17 +106,25 @@ impl Exposition {
         self.out.push_str(&format!("{name}_count {}\n", snap.count));
     }
 
-    /// Appends every metric of a [`RecorderSnapshot`], prefixing each name
-    /// with `prefix` (pass `""` for none).
-    pub fn recorder(&mut self, prefix: &str, snap: &RecorderSnapshot) {
-        for (name, value) in &snap.counters {
-            self.counter(&format!("{prefix}{name}"), "recorder counter", *value);
-        }
-        for (name, value) in &snap.gauges {
-            self.gauge(&format!("{prefix}{name}"), "recorder gauge", *value);
-        }
-        for (name, histogram) in &snap.histograms {
-            self.histogram(&format!("{prefix}{name}"), "recorder histogram", histogram);
+    /// Appends one family per row that names one, in row order. Rows
+    /// without a family are JSON-only and skipped.
+    ///
+    /// # Panics
+    ///
+    /// If a row with a family holds a [`MetricValue::Millis`], which has
+    /// no Prometheus type.
+    pub fn metrics(&mut self, rows: &[Metric<'_>]) {
+        for row in rows {
+            let Some(name) = row.family else { continue };
+            match row.value {
+                MetricValue::Counter(value) => self.counter(name, row.help, value),
+                MetricValue::Gauge(value) => {
+                    self.gauge(name, row.help, i64::try_from(value).unwrap_or(i64::MAX));
+                }
+                MetricValue::Flag(on) => self.gauge(name, row.help, i64::from(on)),
+                MetricValue::Histogram(snap) => self.histogram(name, row.help, snap),
+                MetricValue::Millis(_) => panic!("`{name}`: milliseconds have no Prometheus type"),
+            }
         }
     }
 
@@ -292,7 +303,7 @@ pub fn validate(text: &str) -> Result<ExpositionStats, String> {
 mod tests {
     use super::*;
     use crate::histogram::Histogram;
-    use crate::recorder::Recorder;
+    use std::time::Duration;
 
     #[test]
     fn renders_and_validates_every_kind() {
@@ -348,18 +359,44 @@ mod tests {
     }
 
     #[test]
-    fn recorder_snapshots_render_with_a_prefix() {
-        let recorder = Recorder::new();
-        recorder.counter("ticks").add(9);
-        recorder.gauge("level").set(4);
-        recorder.histogram("lat_us").record(88);
+    fn metric_rows_render_in_order_and_skip_json_only_values() {
+        let h = Histogram::new();
+        h.record(88);
+        let snap = h.snapshot();
+        let row = |key, family, value| Metric {
+            key,
+            family,
+            help: "demo",
+            value,
+        };
         let mut exp = Exposition::new();
-        exp.recorder("demo_", &recorder.snapshot());
+        exp.metrics(&[
+            row("ticks", Some("demo_ticks_total"), MetricValue::Counter(9)),
+            row(
+                "mean_ms",
+                None,
+                MetricValue::Millis(Duration::from_millis(3)),
+            ),
+            row("x.level", Some("demo_level"), MetricValue::Gauge(u64::MAX)),
+            row("x.open", Some("demo_open"), MetricValue::Flag(true)),
+            row("lat", Some("demo_lat_us"), MetricValue::Histogram(&snap)),
+        ]);
         let text = exp.finish();
-        assert!(text.contains("demo_ticks 9"));
-        assert!(text.contains("demo_level 4"));
-        assert!(text.contains("demo_lat_us_count 1"));
-        validate(&text).unwrap();
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(
+            samples,
+            [
+                "demo_ticks_total 9",
+                &format!("demo_level {}", i64::MAX),
+                "demo_open 1",
+                "demo_lat_us_bucket{le=\"95\"} 1",
+                "demo_lat_us_bucket{le=\"+Inf\"} 1",
+                "demo_lat_us_sum 88",
+                "demo_lat_us_count 1",
+            ]
+        );
+        assert!(text.contains("# HELP demo_open demo\n# TYPE demo_open gauge\n"));
+        assert_eq!(validate(&text).unwrap().families, 4);
     }
 
     #[test]

@@ -102,7 +102,9 @@ fn main() {
         stats.families, stats.series, stats.histograms
     );
     assert!(stats.series >= 20);
-    assert_eq!(stats.histograms, 5);
+    // Five latency/cost histograms plus the resilience layer's
+    // retries-per-query distribution.
+    assert_eq!(stats.histograms, 6);
     for line in text.lines().filter(|l| {
         l.starts_with("wnw_jobs_completed_total") || l.starts_with("wnw_job_latency_us_count")
     }) {

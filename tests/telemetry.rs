@@ -222,7 +222,7 @@ fn live_service_snapshot_renders_to_valid_prometheus_text() {
     let service = SamplingService::builder(osn).pool_threads(1).build();
     run_jobs(&service, 2);
     let metrics = service.shutdown();
-    let text = walk_not_wait::gateway::prom::exposition(&metrics);
+    let text = walk_not_wait::gateway::wire::metrics_to_prometheus(&metrics);
     let stats = validate(&text).expect("live snapshot validates");
     assert!(stats.series >= 20, "got {} series", stats.series);
     // Five latency/cost histograms plus the resilience layer's
