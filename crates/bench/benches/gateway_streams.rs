@@ -7,10 +7,11 @@
 //! cross-check. Exits nonzero when any tier sheds, errors, or loses a
 //! job — or, at full scale, when no tier held at least 1 000 streams
 //! concurrently open to completion — so CI can gate on the exit code
-//! alone. Set `WNW_BENCH_SMOKE=1` for the CI-sized run.
+//! alone. Set `WNW_BENCH_SMOKE=1` for the CI-sized run, which writes
+//! `target/BENCH_gateway_streams.json` instead.
 
 use wnw_loadgen::streams::{run_streams_suite, streams_suite_json, suite_pass};
-use wnw_loadgen::Scale;
+use wnw_loadgen::{write_report, Scale};
 
 fn main() {
     let scale = if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
@@ -42,19 +43,19 @@ fn main() {
         );
     }
 
-    // The bench binary's CWD is the package dir; anchor the report at the
-    // repo root regardless.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_gateway_streams.json"
-    );
-    if let Err(err) = std::fs::write(path, streams_suite_json(scale, &reports)) {
-        // The JSON report is the bench's whole point for CI — a silent
-        // miss would leave the workflow green with no artifact.
-        eprintln!("could not write {path}: {err}");
-        std::process::exit(1);
+    match write_report(
+        scale,
+        "BENCH_gateway_streams.json",
+        &streams_suite_json(scale, &reports),
+    ) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(err) => {
+            // The JSON report is the bench's whole point for CI — a silent
+            // miss would leave the workflow green with no artifact.
+            eprintln!("could not write BENCH_gateway_streams.json: {err}");
+            std::process::exit(1);
+        }
     }
-    eprintln!("wrote {path}");
 
     if !suite_pass(scale, &reports) {
         eprintln!("gateway streams suite failed its verdict");

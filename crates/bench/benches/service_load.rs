@@ -7,9 +7,10 @@
 //! cross-check, and the per-objective SLO verdicts. Exits nonzero when
 //! any scenario misses its SLO (or the artifact cannot be written), so CI
 //! can gate on the bench's exit code alone. Set `WNW_BENCH_SMOKE=1` for
-//! the CI-sized run.
+//! the CI-sized run, which writes `target/BENCH_service_load.json`
+//! instead.
 
-use wnw_loadgen::{run_preset_suite, suite_json, Scale};
+use wnw_loadgen::{run_preset_suite, suite_json, write_report, Scale};
 
 fn main() {
     let scale = if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
@@ -48,16 +49,19 @@ fn main() {
         }
     }
 
-    // The bench binary's CWD is the package dir; anchor the report at the
-    // repo root regardless.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service_load.json");
-    if let Err(err) = std::fs::write(path, suite_json(scale, &reports)) {
-        // The JSON report is the bench's whole point for CI — a silent
-        // miss would leave the workflow green with no artifact.
-        eprintln!("could not write {path}: {err}");
-        std::process::exit(1);
+    match write_report(
+        scale,
+        "BENCH_service_load.json",
+        &suite_json(scale, &reports),
+    ) {
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(err) => {
+            // The JSON report is the bench's whole point for CI — a silent
+            // miss would leave the workflow green with no artifact.
+            eprintln!("could not write BENCH_service_load.json: {err}");
+            std::process::exit(1);
+        }
     }
-    eprintln!("wrote {path}");
 
     if reports.iter().any(|r| !r.slo.pass) {
         eprintln!("one or more scenarios missed their SLO");

@@ -4,20 +4,21 @@
 //! the server over real loopback sockets without external dependencies. It
 //! speaks exactly what the gateway serves: fixed-length JSON responses
 //! ([`get`] / [`post`] / [`delete`], or [`Connection`] for keep-alive
-//! reuse) and chunked NDJSON event streams ([`open_stream`]).
+//! reuse) and chunked NDJSON event streams ([`open_stream`]). Every read is
+//! a read → feed loop over [`ResponseDecoder`], the same decoder the load
+//! generator's non-blocking multiplexer drives.
 
-use crate::http::{is_idle_timeout, status_reason};
+use crate::http::{
+    header_value, is_idle_timeout, status_reason, ResponseDecoder, ResponseEvent, ResponseHead,
+};
 use crate::json::{self, Json, JsonError};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// Default timeout applied to every client socket: generous enough for a
-/// busy loopback test machine, bounded enough that a hung server fails
-/// tests instead of wedging them. Deliberately slow readers (load-test
-/// stall profiles) override it per connection via
-/// [`Connection::connect_with_timeout`] / [`open_stream_with_timeout`] so
-/// their own stalls don't kill their streams.
+/// Timeout applied to every client socket: generous enough for a busy
+/// loopback test machine, bounded enough that a hung server fails tests
+/// instead of wedging them.
 pub const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A complete (non-streaming) HTTP response.
@@ -34,10 +35,7 @@ pub struct Response {
 impl Response {
     /// First value of header `name` (lowercase), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header_value(&self.headers, name)
     }
 
     /// The body parsed as JSON.
@@ -74,11 +72,35 @@ fn request(
     conn.request_with(method, path, body, true)
 }
 
+/// A request as wire bytes: `Host` and `Connection` headers, plus a JSON
+/// `Content-Type` and `Content-Length` when there is a body.
+pub fn request_bytes(
+    method: &str,
+    path: &str,
+    host: SocketAddr,
+    body: Option<&[u8]>,
+    close: bool,
+) -> Vec<u8> {
+    let connection = if close { "close" } else { "keep-alive" };
+    let mut out =
+        format!("{method} {path} HTTP/1.1\r\nHost: {host}\r\nConnection: {connection}\r\n");
+    if let Some(body) = body {
+        out.push_str(&format!(
+            "Content-Type: application/json\r\nContent-Length: {}\r\n",
+            body.len()
+        ));
+    }
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    out.extend_from_slice(body.unwrap_or_default());
+    out
+}
+
 /// A keep-alive client connection: sequential requests over one socket.
 #[derive(Debug)]
 pub struct Connection {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    decoder: ResponseDecoder,
     addr: SocketAddr,
 }
 
@@ -86,18 +108,13 @@ impl Connection {
     /// Opens a connection to the gateway with the
     /// [`DEFAULT_CLIENT_TIMEOUT`].
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::connect_with_timeout(addr, DEFAULT_CLIENT_TIMEOUT)
-    }
-
-    /// Opens a connection with an explicit read/write timeout.
-    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
+        stream.set_read_timeout(Some(DEFAULT_CLIENT_TIMEOUT))?;
+        stream.set_write_timeout(Some(DEFAULT_CLIENT_TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(Connection {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            stream,
+            decoder: ResponseDecoder::new(),
             addr,
         })
     }
@@ -124,131 +141,68 @@ impl Connection {
         body: Option<&[u8]>,
         close: bool,
     ) -> io::Result<Response> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nConnection: {}\r\n",
-            self.addr,
-            if close { "close" } else { "keep-alive" },
-        )?;
-        if let Some(body) = body {
-            write!(
-                self.writer,
-                "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )?;
-            self.writer.write_all(body)?;
-        } else {
-            self.writer.write_all(b"\r\n")?;
-        }
-        self.writer.flush()?;
-        let (status, headers) = read_head(&mut self.reader)?;
-        let body = read_body(&mut self.reader, &headers)?;
-        Ok(Response {
-            status,
-            headers,
-            body,
-        })
+        self.send(method, path, body, close)?;
+        let head = self.read_head()?;
+        self.read_rest(head)
     }
-}
 
-/// Reads `HTTP/1.x STATUS REASON` plus headers up to the blank line.
-fn read_head(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<(String, String)>)> {
-    let status_line = read_line(reader)?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or_default();
-    if !version.starts_with("HTTP/1.") {
-        return Err(invalid(format!("bad status line: {status_line:?}")));
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&[u8]>,
+        close: bool,
+    ) -> io::Result<()> {
+        self.stream
+            .write_all(&request_bytes(method, path, self.addr, body, close))
     }
-    let status = parts
-        .next()
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| invalid(format!("bad status code in {status_line:?}")))?;
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader)?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    Ok((status, headers))
-}
 
-fn read_body(
-    reader: &mut BufReader<TcpStream>,
-    headers: &[(String, String)],
-) -> io::Result<Vec<u8>> {
-    let header = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
+    fn read_head(&mut self) -> io::Result<ResponseHead> {
+        match self.next_event()? {
+            ResponseEvent::Head(head) => Ok(head),
+            _ => Err(invalid("response body before its head")),
+        }
+    }
+
+    /// Reads the body that follows `head` (NDJSON lines are rejoined with
+    /// their newlines).
+    fn read_rest(&mut self, head: ResponseHead) -> io::Result<Response> {
         let mut body = Vec::new();
-        while let Some(chunk) = read_chunk(reader)? {
-            body.extend_from_slice(&chunk);
-        }
-        return Ok(body);
-    }
-    match header("content-length") {
-        Some(v) => {
-            let length = v
-                .parse::<usize>()
-                .map_err(|_| invalid(format!("bad Content-Length {v:?}")))?;
-            let mut body = vec![0u8; length];
-            reader.read_exact(&mut body).map_err(normalize_timeout)?;
-            Ok(body)
-        }
-        None => {
-            let mut body = Vec::new();
-            reader.read_to_end(&mut body).map_err(normalize_timeout)?;
-            Ok(body)
-        }
-    }
-}
-
-/// Reads one chunk of a chunked body; `None` is the terminating zero chunk.
-fn read_chunk(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Vec<u8>>> {
-    let size_line = read_line(reader)?;
-    let size = usize::from_str_radix(size_line.split(';').next().unwrap_or("").trim(), 16)
-        .map_err(|_| invalid(format!("bad chunk size {size_line:?}")))?;
-    if size == 0 {
-        // Trailer section (we send none) ends with a blank line.
         loop {
-            if read_line(reader)?.is_empty() {
-                break;
+            match self.next_event()? {
+                ResponseEvent::Line(line) => {
+                    body.extend_from_slice(line.as_bytes());
+                    body.push(b'\n');
+                }
+                ResponseEvent::End { body: rest } => {
+                    body.extend_from_slice(&rest);
+                    return Ok(Response {
+                        status: head.status,
+                        headers: head.headers,
+                        body,
+                    });
+                }
+                ResponseEvent::Head(_) => return Err(invalid("response head inside a body")),
             }
         }
-        return Ok(None);
     }
-    let mut chunk = vec![0u8; size];
-    reader.read_exact(&mut chunk).map_err(normalize_timeout)?;
-    let mut crlf = [0u8; 2];
-    reader.read_exact(&mut crlf).map_err(normalize_timeout)?;
-    if &crlf != b"\r\n" {
-        return Err(invalid("chunk not CRLF-terminated".to_string()));
-    }
-    Ok(Some(chunk))
-}
 
-fn read_line(reader: &mut impl BufRead) -> io::Result<String> {
-    let mut raw = Vec::new();
-    let read = reader
-        .read_until(b'\n', &mut raw)
-        .map_err(normalize_timeout)?;
-    if read == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-response",
-        ));
+    /// The next decoded event, reading from the socket until one is
+    /// complete.
+    fn next_event(&mut self) -> io::Result<ResponseEvent> {
+        let mut scratch = [0u8; 8 * 1024];
+        loop {
+            if let Some(event) = self.decoder.next_event()? {
+                return Ok(event);
+            }
+            match self.stream.read(&mut scratch) {
+                Ok(0) => self.decoder.feed_eof(),
+                Ok(n) => self.decoder.feed(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(normalize_timeout(e)),
+            }
+        }
     }
-    while matches!(raw.last(), Some(b'\n' | b'\r')) {
-        raw.pop();
-    }
-    String::from_utf8(raw).map_err(|_| invalid("non-UTF-8 response bytes".to_string()))
 }
 
 fn invalid(message: impl Into<String>) -> io::Error {
@@ -272,39 +226,19 @@ fn normalize_timeout(e: io::Error) -> io::Error {
 /// [`io::ErrorKind::Other`] when the server answers non-200 (the error
 /// message carries the status and body).
 pub fn open_stream(addr: SocketAddr, path: &str) -> io::Result<EventStream> {
-    open_stream_with_timeout(addr, path, DEFAULT_CLIENT_TIMEOUT)
-}
-
-/// Like [`open_stream`] with an explicit socket timeout — a slow-reading
-/// client that deliberately stalls between events longer than the default
-/// timeout must widen it, or its own stall kills the stream.
-pub fn open_stream_with_timeout(
-    addr: SocketAddr,
-    path: &str,
-    timeout: Duration,
-) -> io::Result<EventStream> {
-    let mut conn = Connection::connect_with_timeout(addr, timeout)?;
-    write!(
-        conn.writer,
-        "GET {path} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n\r\n",
-        conn.addr
-    )?;
-    conn.writer.flush()?;
-    let (status, headers) = read_head(&mut conn.reader)?;
-    if status != 200 {
-        let body = read_body(&mut conn.reader, &headers)?;
+    let mut conn = Connection::connect(addr)?;
+    conn.send("GET", path, None, true)?;
+    let head = conn.read_head()?;
+    if head.status != 200 {
+        let response = conn.read_rest(head)?;
         return Err(io::Error::other(format!(
             "{} {}: {}",
-            status,
-            status_reason(status),
-            String::from_utf8_lossy(&body),
+            response.status,
+            status_reason(response.status),
+            String::from_utf8_lossy(&response.body),
         )));
     }
-    Ok(EventStream {
-        reader: conn.reader,
-        pending: Vec::new(),
-        done: false,
-    })
+    Ok(EventStream { conn, done: false })
 }
 
 /// A live NDJSON event stream: iterates parsed JSON objects, one per line,
@@ -312,34 +246,8 @@ pub fn open_stream_with_timeout(
 /// which the gateway treats as a client hang-up, cancelling the job.
 #[derive(Debug)]
 pub struct EventStream {
-    reader: BufReader<TcpStream>,
-    /// De-chunked bytes not yet consumed as complete lines.
-    pending: Vec<u8>,
+    conn: Connection,
     done: bool,
-}
-
-impl EventStream {
-    /// The next complete NDJSON line, across chunk boundaries.
-    fn next_line(&mut self) -> io::Result<Option<String>> {
-        loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let rest = self.pending.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.pending, rest);
-                line.pop(); // the newline
-                let line = String::from_utf8(line)
-                    .map_err(|_| invalid("non-UTF-8 stream bytes".to_string()))?;
-                return Ok(Some(line));
-            }
-            match read_chunk(&mut self.reader)? {
-                Some(chunk) => self.pending.extend_from_slice(&chunk),
-                None => {
-                    // End of body; a final unterminated line would be a
-                    // server bug (every event is newline-terminated).
-                    return Ok(None);
-                }
-            }
-        }
-    }
 }
 
 impl Iterator for EventStream {
@@ -349,18 +257,18 @@ impl Iterator for EventStream {
         if self.done {
             return None;
         }
-        match self.next_line() {
-            Ok(Some(line)) => Some(
-                json::parse(&line).map_err(|e| invalid(format!("bad event line {line:?}: {e}"))),
-            ),
-            Ok(None) => {
-                self.done = true;
-                None
+        let item = match self.conn.next_event() {
+            Ok(ResponseEvent::Line(line)) => {
+                return Some(
+                    json::parse(&line)
+                        .map_err(|e| invalid(format!("bad event line {line:?}: {e}"))),
+                )
             }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+            Ok(ResponseEvent::End { .. }) => None,
+            Ok(ResponseEvent::Head(_)) => Some(Err(invalid("response head inside a stream"))),
+            Err(e) => Some(Err(e)),
+        };
+        self.done = true;
+        item
     }
 }

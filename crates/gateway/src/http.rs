@@ -1,5 +1,5 @@
-//! Hand-rolled HTTP/1.1 wire handling: incremental request parsing and
-//! response encoding.
+//! Hand-rolled HTTP/1.1 wire handling: incremental request parsing,
+//! response encoding, and incremental response decoding.
 //!
 //! The gateway speaks the small, boring subset of HTTP/1.1 that a sampling
 //! frontend needs — request line + headers + `Content-Length` bodies on the
@@ -11,12 +11,15 @@
 //! Parsing is **incremental and non-blocking by construction**: the
 //! readiness-loop server appends whatever bytes the socket had into a
 //! per-connection buffer and asks [`RequestParser::parse`] whether a
-//! complete request is in there yet. The parser never does I/O, so the
-//! same code is exercised byte-for-byte by unit tests, the event loop,
-//! and any future transport.
+//! complete request is in there yet. The client side mirrors it:
+//! [`ResponseDecoder`] takes response bytes as they arrive and yields the
+//! head, the NDJSON lines of a streamed body, and the end of each
+//! response. Neither does I/O, so the same code is exercised
+//! byte-for-byte by unit tests, the event loop, the blocking
+//! [`client`](crate::client), and the load generator's multiplexer.
 
 use crate::json::Json;
-use std::io::{self, Write};
+use std::io;
 
 /// Maximum bytes accepted for the request line plus all headers.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -44,10 +47,7 @@ pub struct Request {
 impl Request {
     /// First value of header `name` (lowercase), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header_value(&self.headers, name)
     }
 
     /// Whether the connection should stay open after the response
@@ -227,6 +227,14 @@ impl RequestParser {
     }
 }
 
+/// First value of header `name` (lowercase) among `(name, value)` pairs.
+pub(crate) fn header_value<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
 /// Index just past the blank line terminating the header block, if one is
 /// present. Lines are LF-terminated with an optional preceding CR.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -280,52 +288,19 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete fixed-length response.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> io::Result<()> {
-    write!(
-        w,
+/// A complete fixed-length response as bytes, for write-buffer queueing.
+pub fn response_bytes(status: u16, content_type: &str, body: &[u8], close: bool) -> Vec<u8> {
+    let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         status,
         status_reason(status),
         content_type,
         body.len(),
         if close { "close" } else { "keep-alive" },
-    )?;
-    w.write_all(body)?;
-    w.flush()
-}
-
-/// Writes a JSON response.
-pub fn write_json(w: &mut impl Write, status: u16, body: &Json, close: bool) -> io::Result<()> {
-    write_response(
-        w,
-        status,
-        "application/json",
-        body.encode().as_bytes(),
-        close,
-    )
-}
-
-/// Writes a JSON error body `{"error": message}`.
-pub fn write_error(w: &mut impl Write, status: u16, message: &str, close: bool) -> io::Result<()> {
-    write_json(
-        w,
-        status,
-        &Json::obj(vec![("error", Json::str(message))]),
-        close,
-    )
-}
-
-/// A complete fixed-length response as bytes, for write-buffer queueing.
-pub fn response_bytes(status: u16, content_type: &str, body: &[u8], close: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    write_response(&mut out, status, content_type, body, close).expect("Vec writes are infallible");
+    );
+    let mut out = Vec::with_capacity(head.len() + body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(body);
     out
 }
 
@@ -365,42 +340,330 @@ pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(b"\r\n");
 }
 
-/// A `Transfer-Encoding: chunked` response body in progress, over a
-/// blocking writer.
+/// Longest chunk-size line accepted, CRLF included. The gateway sends
+/// bare hex sizes of a few digits; anything this long is hostile or
+/// corrupt.
+const MAX_CHUNK_LINE: usize = 32;
+
+/// Why received bytes can never become a valid response.
 ///
-/// Every chunk is flushed immediately — the whole point of the streaming
-/// endpoint is that the client sees each sample as the scheduler lands
-/// it, not a buffered batch at job end. (The readiness-loop server frames
-/// chunks with [`encode_chunk`] into its own write buffer instead; this
-/// writer serves blocking callers and keeps the frame format pinned by
-/// one implementation.)
-#[derive(Debug)]
-pub struct ChunkedWriter<W: Write> {
-    w: W,
+/// "Not enough bytes yet" is not an error but `Ok(None)` from
+/// [`ResponseDecoder::next_event`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The bytes are not a well-formed HTTP/1.x response.
+    Malformed(&'static str),
+    /// A size bound was exceeded (response head, chunk-size line).
+    TooLarge(&'static str),
+    /// The connection ended before the response was complete.
+    Truncated,
+    /// An NDJSON body ended with bytes after its last newline.
+    UnterminatedLine,
 }
 
-impl<W: Write> ChunkedWriter<W> {
-    /// Writes the response head and returns the body writer.
-    pub fn begin(mut w: W, status: u16, content_type: &str) -> io::Result<Self> {
-        w.write_all(&chunked_head(status, content_type))?;
-        w.flush()?;
-        Ok(ChunkedWriter { w })
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Malformed(what) => write!(f, "malformed response: {what}"),
+            DecodeError::TooLarge(what) => write!(f, "response too large: {what}"),
+            DecodeError::Truncated => f.write_str("connection closed mid-response"),
+            DecodeError::UnterminatedLine => f.write_str("final NDJSON line has no newline"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for io::Error {
+    fn from(e: DecodeError) -> Self {
+        let kind = match e {
+            DecodeError::Truncated => io::ErrorKind::UnexpectedEof,
+            _ => io::ErrorKind::InvalidData,
+        };
+        io::Error::new(kind, e)
+    }
+}
+
+/// A response's status line and headers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResponseHead {
+    /// Status code.
+    pub status: u16,
+    /// Header `(name, value)` pairs, names lowercased.
+    pub headers: Vec<(String, String)>,
+}
+
+impl ResponseHead {
+    /// First value of header `name` (lowercase), if present.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_value(&self.headers, name)
+    }
+}
+
+/// One step of a decoded response, in wire order: a `Head`, then the
+/// body's `Line`s (NDJSON bodies only), then `End`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResponseEvent {
+    /// The status line and headers.
+    Head(ResponseHead),
+    /// One line of an `application/x-ndjson` body, without its newline,
+    /// as soon as the newline has arrived.
+    Line(String),
+    /// The response is complete. `body` holds the whole body of a
+    /// non-NDJSON response (an NDJSON body came out as lines). Bytes
+    /// after it belong to the next response on the connection.
+    End {
+        /// The de-chunked body of a non-NDJSON response.
+        body: Vec<u8>,
+    },
+}
+
+/// Where the decoder stands in the current response.
+#[derive(Debug, Default, Clone, Copy)]
+enum Framing {
+    /// Waiting for a complete status line and header block.
+    #[default]
+    Head,
+    /// Inside a `Content-Length` body with this many bytes still due.
+    Fixed { remaining: usize },
+    /// At a chunk-size line.
+    ChunkSize,
+    /// Inside chunk data with this many bytes still due.
+    ChunkData { remaining: usize },
+    /// At the CRLF that closes a chunk's data.
+    ChunkEnd,
+    /// Past the zero chunk, skipping trailers up to the blank line.
+    Trailer,
+}
+
+/// Incremental HTTP/1.1 response decoder — the client-side twin of
+/// [`RequestParser`].
+///
+/// Feed it bytes as they arrive ([`feed`](Self::feed)), tell it when the
+/// peer closed ([`feed_eof`](Self::feed_eof)), and pull
+/// [`ResponseEvent`]s with [`next_event`](Self::next_event). It never does I/O, so
+/// a blocking reader and a non-blocking multiplexer drive the same code,
+/// and tests can split its input anywhere. Buffers grow only by bytes
+/// received: a hostile `Content-Length` or chunk size allocates nothing
+/// up front. Bytes past the end of one response stay buffered for the
+/// next one on a keep-alive connection.
+#[derive(Debug, Default)]
+pub struct ResponseDecoder {
+    /// Received bytes; `buf[pos..]` is not yet decoded.
+    buf: Vec<u8>,
+    pos: usize,
+    framing: Framing,
+    /// The current response is `application/x-ndjson`: its body comes
+    /// out as lines.
+    ndjson: bool,
+    /// De-chunked body bytes not yet handed out.
+    body: Vec<u8>,
+    /// The peer closed the connection.
+    eof: bool,
+}
+
+impl ResponseDecoder {
+    /// A decoder at the start of a connection.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Writes one chunk (non-empty; an empty chunk would terminate the
-    /// body) and flushes it.
-    pub fn write_chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(data.len() + 16);
-        encode_chunk(&mut frame, data);
-        self.w.write_all(&frame)?;
-        self.w.flush()
+    /// Appends bytes received from the connection.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        self.buf.extend_from_slice(bytes);
     }
 
-    /// Terminates the body (zero-length chunk, no trailers).
-    pub fn finish(mut self) -> io::Result<()> {
-        self.w.write_all(CHUNK_TERMINATOR)?;
-        self.w.flush()
+    /// Records that the peer closed the connection: once the buffered
+    /// bytes are decoded, a response still in progress (or not yet
+    /// begun) is [`DecodeError::Truncated`].
+    pub fn feed_eof(&mut self) {
+        self.eof = true;
     }
+
+    /// The next event the buffered bytes complete, or `Ok(None)` when
+    /// more bytes are needed.
+    pub fn next_event(&mut self) -> Result<Option<ResponseEvent>, DecodeError> {
+        loop {
+            if self.ndjson {
+                if let Some(nl) = self.body.iter().position(|&b| b == b'\n') {
+                    let mut line: Vec<u8> = self.body.drain(..=nl).collect();
+                    line.pop();
+                    let line = String::from_utf8(line)
+                        .map_err(|_| DecodeError::Malformed("non-UTF-8 body line"))?;
+                    return Ok(Some(ResponseEvent::Line(line)));
+                }
+            }
+            let avail = &self.buf[self.pos..];
+            match self.framing {
+                Framing::Head => {
+                    let Some(end) = find_head_end(avail) else {
+                        if avail.len() > MAX_HEADER_BYTES {
+                            return Err(DecodeError::TooLarge("response head"));
+                        }
+                        return self.need_more();
+                    };
+                    if end > MAX_HEADER_BYTES {
+                        return Err(DecodeError::TooLarge("response head"));
+                    }
+                    let head = parse_head(&avail[..end])?;
+                    self.pos += end;
+                    self.begin_body(&head)?;
+                    return Ok(Some(ResponseEvent::Head(head)));
+                }
+                Framing::Fixed { remaining: 0 } => return self.end(),
+                Framing::Fixed { remaining } | Framing::ChunkData { remaining } => {
+                    if avail.is_empty() {
+                        return self.need_more();
+                    }
+                    let take = remaining.min(avail.len());
+                    self.body.extend_from_slice(&avail[..take]);
+                    self.pos += take;
+                    self.framing = match self.framing {
+                        Framing::Fixed { .. } => Framing::Fixed {
+                            remaining: remaining - take,
+                        },
+                        _ if take == remaining => Framing::ChunkEnd,
+                        _ => Framing::ChunkData {
+                            remaining: remaining - take,
+                        },
+                    };
+                }
+                Framing::ChunkSize => {
+                    let window = &avail[..avail.len().min(MAX_CHUNK_LINE)];
+                    let Some(nl) = window.iter().position(|&b| b == b'\n') else {
+                        if window.len() == MAX_CHUNK_LINE {
+                            return Err(DecodeError::TooLarge("chunk-size line"));
+                        }
+                        return self.need_more();
+                    };
+                    let size = parse_chunk_size(&avail[..nl + 1])?;
+                    self.pos += nl + 1;
+                    self.framing = if size == 0 {
+                        Framing::Trailer
+                    } else {
+                        Framing::ChunkData { remaining: size }
+                    };
+                }
+                Framing::ChunkEnd => {
+                    if avail.len() < 2 {
+                        return self.need_more();
+                    }
+                    if &avail[..2] != b"\r\n" {
+                        return Err(DecodeError::Malformed("chunk not CRLF-terminated"));
+                    }
+                    self.pos += 2;
+                    self.framing = Framing::ChunkSize;
+                }
+                Framing::Trailer => {
+                    let Some(nl) = avail.iter().position(|&b| b == b'\n') else {
+                        if avail.len() > MAX_HEADER_BYTES {
+                            return Err(DecodeError::TooLarge("trailer line"));
+                        }
+                        return self.need_more();
+                    };
+                    self.pos += nl + 1;
+                    if avail[..nl]
+                        .strip_suffix(b"\r")
+                        .unwrap_or(&avail[..nl])
+                        .is_empty()
+                    {
+                        return self.end();
+                    }
+                }
+            }
+        }
+    }
+
+    /// Picks the body framing (and line splitting) the head announces.
+    fn begin_body(&mut self, head: &ResponseHead) -> Result<(), DecodeError> {
+        self.framing = match head.header("transfer-encoding") {
+            Some(v) if v.eq_ignore_ascii_case("chunked") => Framing::ChunkSize,
+            Some(_) => return Err(DecodeError::Malformed("unsupported Transfer-Encoding")),
+            None => match head.header("content-length") {
+                Some(v) => Framing::Fixed {
+                    remaining: v
+                        .parse()
+                        .map_err(|_| DecodeError::Malformed("invalid Content-Length"))?,
+                },
+                None => {
+                    return Err(DecodeError::Malformed(
+                        "response has neither Content-Length nor chunked framing",
+                    ))
+                }
+            },
+        };
+        self.ndjson = head
+            .header("content-type")
+            .is_some_and(|v| v.starts_with("application/x-ndjson"));
+        Ok(())
+    }
+
+    /// Closes the current response and readies the decoder for the next.
+    fn end(&mut self) -> Result<Option<ResponseEvent>, DecodeError> {
+        self.framing = Framing::Head;
+        let body = std::mem::take(&mut self.body);
+        if std::mem::take(&mut self.ndjson) && !body.is_empty() {
+            return Err(DecodeError::UnterminatedLine);
+        }
+        Ok(Some(ResponseEvent::End { body }))
+    }
+
+    fn need_more(&self) -> Result<Option<ResponseEvent>, DecodeError> {
+        if self.eof {
+            Err(DecodeError::Truncated)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// Parses `HTTP/1.x STATUS REASON` and the header lines of a complete
+/// head block.
+fn parse_head(block: &[u8]) -> Result<ResponseHead, DecodeError> {
+    let text = std::str::from_utf8(block)
+        .map_err(|_| DecodeError::Malformed("non-UTF-8 response head"))?;
+    let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
+    let status_line = lines.next().unwrap_or("");
+    let mut parts = status_line.splitn(3, ' ');
+    if !parts.next().unwrap_or("").starts_with("HTTP/1.") {
+        return Err(DecodeError::Malformed("bad status line"));
+    }
+    let status = parts
+        .next()
+        .and_then(|s| s.parse::<u16>().ok())
+        .ok_or(DecodeError::Malformed("bad status code"))?;
+    let mut headers = Vec::new();
+    for line in lines.take_while(|l| !l.is_empty()) {
+        if headers.len() >= MAX_HEADERS {
+            return Err(DecodeError::TooLarge("too many headers"));
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or(DecodeError::Malformed("header without ':'"))?;
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+    }
+    Ok(ResponseHead { status, headers })
+}
+
+/// The size on a CRLF-terminated chunk-size line (extensions ignored).
+fn parse_chunk_size(line: &[u8]) -> Result<usize, DecodeError> {
+    let line = line.strip_suffix(b"\r\n").ok_or(DecodeError::Malformed(
+        "chunk-size line not CRLF-terminated",
+    ))?;
+    let digits = line.split(|&b| b == b';').next().unwrap_or_default();
+    if digits.is_empty() {
+        return Err(DecodeError::Malformed("empty chunk size"));
+    }
+    digits.iter().try_fold(0usize, |size, &b| {
+        let digit = (b as char)
+            .to_digit(16)
+            .ok_or(DecodeError::Malformed("bad chunk size"))?;
+        size.checked_mul(16)
+            .and_then(|s| s.checked_add(digit as usize))
+            .ok_or(DecodeError::TooLarge("chunk size overflows"))
+    })
 }
 
 #[cfg(test)]
@@ -579,14 +842,7 @@ mod tests {
 
     #[test]
     fn responses_have_the_expected_shape() {
-        let mut out = Vec::new();
-        write_json(
-            &mut out,
-            200,
-            &Json::obj(vec![("ok", Json::Bool(true))]),
-            false,
-        )
-        .unwrap();
+        let out = json_bytes(200, &Json::obj(vec![("ok", Json::Bool(true))]), false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -599,22 +855,242 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"error\":\"unknown job\"}"));
+    }
 
-        // The byte-producing and writer-based encoders agree exactly.
-        let mut written = Vec::new();
-        write_error(&mut written, 404, "unknown job", true).unwrap();
-        assert_eq!(written, text.as_bytes());
+    /// Feeds `bytes` in pieces ending at each of `cuts` (then the rest)
+    /// and collects every event the decoder yields.
+    fn decode_split(bytes: &[u8], cuts: &[usize]) -> Result<Vec<ResponseEvent>, DecodeError> {
+        let mut decoder = ResponseDecoder::new();
+        let mut events = Vec::new();
+        let mut from = 0;
+        for &cut in cuts.iter().chain([bytes.len()].iter()) {
+            decoder.feed(&bytes[from..cut]);
+            from = cut;
+            while let Some(event) = decoder.next_event()? {
+                events.push(event);
+            }
+        }
+        Ok(events)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Vec<ResponseEvent>, DecodeError> {
+        decode_split(bytes, &[])
+    }
+
+    /// An NDJSON stream framed by the gateway's own encoders: one event
+    /// per chunk, plus a chunk holding two lines and a line split across
+    /// two chunks.
+    fn ndjson_stream() -> Vec<u8> {
+        let mut out = chunked_head(200, "application/x-ndjson");
+        encode_chunk(&mut out, b"{\"event\":\"sample\",\"node\":1}\n");
+        encode_chunk(
+            &mut out,
+            b"{\"event\":\"progress\"}\n{\"event\":\"sample\",\"node\":2}\n",
+        );
+        encode_chunk(&mut out, b"{\"event\":\"do");
+        encode_chunk(&mut out, b"ne\",\"status\":\"completed\"}\n");
+        out.extend_from_slice(CHUNK_TERMINATOR);
+        out
+    }
+
+    /// Every response shape the gateway emits, each as its wire bytes.
+    fn corpus() -> Vec<Vec<u8>> {
+        let ok = json_bytes(200, &Json::obj(vec![("job_id", Json::UInt(7))]), false);
+        let shed = error_bytes(503, "admission queue full", true);
+        let mut pipelined = json_bytes(202, &Json::obj(vec![("stream", Json::str("/s"))]), false);
+        pipelined.extend_from_slice(&error_bytes(404, "unknown job", false));
+        vec![ok, shed, ndjson_stream(), pipelined]
     }
 
     #[test]
-    fn chunked_writer_frames_chunks() {
-        let mut out = Vec::new();
-        let mut body = ChunkedWriter::begin(&mut out, 200, "application/x-ndjson").unwrap();
-        body.write_chunk(b"{\"a\":1}\n").unwrap();
-        body.write_chunk(b"{\"b\":2}\n").unwrap();
-        body.finish().unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(text.ends_with("8\r\n{\"a\":1}\n\r\n8\r\n{\"b\":2}\n\r\n0\r\n\r\n"));
+    fn decoder_decodes_the_gateway_encoders() {
+        let events = decode(&ndjson_stream()).unwrap();
+        let ResponseEvent::Head(head) = &events[0] else {
+            panic!("head first, got {events:?}");
+        };
+        assert_eq!(head.status, 200);
+        assert_eq!(head.header("transfer-encoding"), Some("chunked"));
+        let lines: Vec<_> = events[1..events.len() - 1]
+            .iter()
+            .map(|e| match e {
+                ResponseEvent::Line(line) => line.as_str(),
+                other => panic!("expected a line, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "{\"event\":\"sample\",\"node\":1}",
+                "{\"event\":\"progress\"}",
+                "{\"event\":\"sample\",\"node\":2}",
+                "{\"event\":\"done\",\"status\":\"completed\"}",
+            ]
+        );
+        assert_eq!(events.last(), Some(&ResponseEvent::End { body: vec![] }));
+
+        // Two keep-alive responses back to back: the second decodes from
+        // the bytes the first left behind.
+        let events = decode(&corpus()[3]).unwrap();
+        let statuses: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                ResponseEvent::Head(h) => Some(h.status),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(statuses, [202, 404]);
+        assert_eq!(
+            events[3],
+            ResponseEvent::End {
+                body: b"{\"error\":\"unknown job\"}".to_vec()
+            }
+        );
+    }
+
+    #[test]
+    fn decoder_events_do_not_depend_on_split_points() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_D1CE);
+        for bytes in corpus() {
+            let whole = decode(&bytes).unwrap();
+            assert!(matches!(whole.last(), Some(ResponseEvent::End { .. })));
+            let bytewise: Vec<usize> = (1..bytes.len()).collect();
+            assert_eq!(decode_split(&bytes, &bytewise).unwrap(), whole);
+            for _ in 0..200 {
+                let pieces = rng.gen_range(1..8usize);
+                let mut cuts: Vec<usize> =
+                    (0..pieces).map(|_| rng.gen_range(0..bytes.len())).collect();
+                cuts.sort_unstable();
+                assert_eq!(decode_split(&bytes, &cuts).unwrap(), whole, "cuts {cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_sizes_allocate_only_what_arrived() {
+        // A corrupt Content-Length must not be allocated up front: the
+        // decoder waits for bytes, and the close reports truncation.
+        let mut decoder = ResponseDecoder::new();
+        decoder.feed(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nabc");
+        assert!(matches!(
+            decoder.next_event(),
+            Ok(Some(ResponseEvent::Head(_)))
+        ));
+        assert_eq!(decoder.next_event(), Ok(None));
+        decoder.feed_eof();
+        assert_eq!(decoder.next_event(), Err(DecodeError::Truncated));
+
+        // Same for a 256 TiB chunk.
+        let mut stream = chunked_head(200, "application/x-ndjson");
+        stream.extend_from_slice(b"ffffffffffff\r\n{\"a\":1}\n");
+        let mut decoder = ResponseDecoder::new();
+        decoder.feed(&stream);
+        assert!(matches!(
+            decoder.next_event(),
+            Ok(Some(ResponseEvent::Head(_)))
+        ));
+        assert_eq!(
+            decoder.next_event(),
+            Ok(Some(ResponseEvent::Line("{\"a\":1}".into())))
+        );
+        assert_eq!(decoder.next_event(), Ok(None));
+    }
+
+    #[test]
+    fn chunk_size_lines_that_overflow_or_run_long_are_rejected() {
+        let head = chunked_head(200, "application/x-ndjson");
+        for (line, what) in [
+            (&b"10000000000000000\r\n"[..], "overflows usize"),
+            (&b"ffffffffffffffffffffffff\r\n"[..], "overflows usize"),
+            (&[b'0'; 64][..], "runs past the line cap without a newline"),
+        ] {
+            let mut bytes = head.clone();
+            bytes.extend_from_slice(line);
+            assert!(
+                matches!(decode(&bytes), Err(DecodeError::TooLarge(_))),
+                "{what}"
+            );
+        }
+        for (line, what) in [
+            (&b"zz\r\n"[..], "not hex"),
+            (&b"\r\n"[..], "empty"),
+            (&b"5\n"[..], "bare LF"),
+            (&b"3\r\nabcXY"[..], "data not CRLF-terminated"),
+        ] {
+            let mut bytes = head.clone();
+            bytes.extend_from_slice(line);
+            assert!(
+                matches!(decode(&bytes), Err(DecodeError::Malformed(_))),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn bodies_truncated_before_their_end_are_errors() {
+        let stream = ndjson_stream();
+        let fixed = json_bytes(200, &Json::obj(vec![("ok", Json::Bool(true))]), true);
+        for bytes in [&stream[..], &fixed[..]] {
+            for cut in [0, 10, bytes.len() - 3, bytes.len() - 1] {
+                let mut decoder = ResponseDecoder::new();
+                decoder.feed(&bytes[..cut]);
+                decoder.feed_eof();
+                let outcome = loop {
+                    match decoder.next_event() {
+                        Ok(Some(_)) => {}
+                        other => break other,
+                    }
+                };
+                assert_eq!(outcome, Err(DecodeError::Truncated), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_final_ndjson_line_without_a_newline_is_an_error() {
+        let mut bytes = chunked_head(200, "application/x-ndjson");
+        encode_chunk(&mut bytes, b"{\"event\":\"sample\"}\n{\"event\":\"done\"}");
+        bytes.extend_from_slice(CHUNK_TERMINATOR);
+        let mut decoder = ResponseDecoder::new();
+        decoder.feed(&bytes);
+        assert!(matches!(
+            decoder.next_event(),
+            Ok(Some(ResponseEvent::Head(_)))
+        ));
+        assert!(matches!(
+            decoder.next_event(),
+            Ok(Some(ResponseEvent::Line(_)))
+        ));
+        assert_eq!(decoder.next_event(), Err(DecodeError::UnterminatedLine));
+    }
+
+    #[test]
+    fn malformed_responses_are_rejected() {
+        for (bytes, what) in [
+            (&b"SPDY/3 200 OK\r\n\r\n"[..], "not HTTP/1.x"),
+            (b"HTTP/1.1 OK\r\n\r\n", "no status code"),
+            (b"HTTP/1.1 200 OK\r\nNoColon\r\n\r\n", "bad header"),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+                "bad length",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n",
+                "bad coding",
+            ),
+            (b"HTTP/1.1 200 OK\r\n\r\n", "no framing"),
+        ] {
+            assert!(
+                matches!(decode(bytes), Err(DecodeError::Malformed(_))),
+                "{what}"
+            );
+        }
+        let huge = format!("HTTP/1.1 200 OK\r\nA: {}", "y".repeat(MAX_HEADER_BYTES));
+        assert!(matches!(
+            decode(huge.as_bytes()),
+            Err(DecodeError::TooLarge(_))
+        ));
     }
 }

@@ -10,11 +10,13 @@
 //! ([`conn`]), so thousands of concurrent slow stream consumers cost
 //! buffers, not threads; blocking work runs on a small task pool (see
 //! [`server`]). The crate carries its own small substrates since the
-//! workspace has no serde or mio: an incremental request parser
-//! ([`http`]), a tiny JSON codec ([`json`]), the wire mapping for the
-//! service's request/event/metrics types ([`wire`]), and a minimal
-//! blocking client ([`client`]) used by the integration tests, the
-//! load-generation harness, and `examples/http_gateway.rs`.
+//! workspace has no serde or mio: an incremental request parser and its
+//! client-side twin, an incremental response decoder ([`http`]), a tiny
+//! JSON codec ([`json`]), the wire mapping for the service's
+//! request/event/metrics types ([`wire`]), and a minimal blocking client
+//! over that decoder ([`client`]) used by the integration tests and
+//! `examples/http_gateway.rs`. The load generator drives the same decoder
+//! from its non-blocking multiplexer.
 //!
 //! ## Endpoints
 //!

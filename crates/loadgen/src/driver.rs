@@ -1,33 +1,26 @@
-//! The open-loop client driver: dispatches a [`WorkPlan`] against a live
+//! The open-loop scenario driver: runs a [`WorkPlan`] against a live
 //! gateway over real loopback sockets and reduces what every client saw
 //! into a [`ScenarioReport`].
 //!
 //! [`WorkPlan`]: crate::scenario::WorkPlan
 //!
-//! Open-loop means the dispatcher sleeps to each request's *pre-scheduled*
-//! offset and then hands the request to its own thread, no matter how many
-//! earlier requests are still in flight. A saturated service therefore
-//! sheds load or grows its queue-wait tail — it cannot quietly slow the
-//! arrival stream down, which is exactly the failure mode a closed-loop
-//! driver hides (coordinated omission).
+//! Open-loop means every request starts at its *pre-scheduled* offset, no
+//! matter how many earlier requests are still in flight. A saturated
+//! service therefore sheds load or grows its queue-wait tail — it cannot
+//! quietly slow the arrival stream down, which is exactly the failure
+//! mode a closed-loop driver hides (coordinated omission). The requests
+//! run as state machines on the crate's one-thread non-blocking
+//! multiplexer, so thousands in flight cost sockets, not threads.
 
+use crate::mux::{self, Client};
 use crate::report::{LatencySummary, ScenarioReport, ServerSummary};
-use crate::scenario::{PlannedRequest, Scenario};
+use crate::scenario::Scenario;
 use crate::slo::Observed;
 use std::io;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
-use wnw_gateway::client::{self, DEFAULT_CLIENT_TIMEOUT};
+use std::time::Duration;
+use wnw_gateway::client;
 use wnw_gateway::json::Json;
-
-/// Diameter estimate submitted with every job: keeps burn-in, and with it
-/// each job's life, short — load scenarios stress the *service*, not the
-/// walk length.
-const DIAMETER_ESTIMATE: u64 = 4;
-
-/// Stream-open attempts before a request is recorded as failed (the open
-/// itself can be shed by the accept loop under burst load).
-const STREAM_OPEN_ATTEMPTS: usize = 3;
 
 /// What one scripted client observed for its request.
 #[derive(Debug, Clone, Default)]
@@ -61,145 +54,6 @@ pub struct RunOutcome {
     pub observations: Vec<Observation>,
     /// First dispatch → last stream drained.
     pub wall_clock: Duration,
-}
-
-/// Drives `plan` against the gateway at `addr`, open-loop.
-pub fn run_plan(addr: SocketAddr, requests: &[PlannedRequest]) -> RunOutcome {
-    let started = Instant::now();
-    let observations: Vec<Observation> = std::thread::scope(|scope| {
-        let handles: Vec<_> = requests
-            .iter()
-            .map(|request| {
-                // Open loop: sleep to the request's offset, then hand it to
-                // its own thread regardless of what is still in flight.
-                let target = started + request.at;
-                if let Some(wait) = target.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(wait);
-                }
-                scope.spawn(move || drive_one(addr, request))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    RunOutcome {
-        observations,
-        wall_clock: started.elapsed(),
-    }
-}
-
-/// One scripted client: submit, stream, optionally stall and cancel.
-fn drive_one(addr: SocketAddr, request: &PlannedRequest) -> Observation {
-    let mut obs = Observation::default();
-    let t0 = Instant::now();
-
-    let mut body = vec![
-        ("samples", Json::UInt(request.samples as u64)),
-        ("seed", Json::UInt(request.seed)),
-        ("walkers", Json::UInt(request.walkers as u64)),
-        ("diameter_estimate", Json::UInt(DIAMETER_ESTIMATE)),
-        ("start_node", Json::UInt(u64::from(request.start_node))),
-        ("priority", Json::str(request.priority)),
-        ("history_policy", Json::str(request.history_policy)),
-    ];
-    if let Some(budget) = request.budget {
-        body.push(("budget", Json::UInt(budget)));
-    }
-
-    let accepted = match client::post(addr, "/v1/jobs", &Json::obj(body)) {
-        Ok(response) if response.status == 202 => response,
-        Ok(response) if response.status == 503 => {
-            obs.shed = true;
-            return obs;
-        }
-        _ => {
-            obs.submit_error = true;
-            return obs;
-        }
-    };
-    let Some(stream_path) = accepted
-        .json()
-        .ok()
-        .and_then(|doc| doc.get("stream").and_then(Json::as_str).map(String::from))
-    else {
-        obs.submit_error = true;
-        return obs;
-    };
-    // `/v1/jobs/{id}/stream` minus the suffix is the job resource path.
-    let job_path = stream_path
-        .strip_suffix("/stream")
-        .unwrap_or(&stream_path)
-        .to_string();
-
-    let mut stream = None;
-    for attempt in 0..STREAM_OPEN_ATTEMPTS {
-        match client::open_stream_with_timeout(addr, &stream_path, DEFAULT_CLIENT_TIMEOUT) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
-            Err(_) if attempt + 1 < STREAM_OPEN_ATTEMPTS => {
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            Err(_) => {}
-        }
-    }
-    let Some(stream) = stream else {
-        obs.stream_error = true;
-        return obs;
-    };
-
-    let mut events_seen = 0usize;
-    let mut cancel_sent = false;
-    for event in stream {
-        let Ok(event) = event else {
-            obs.stream_error = true;
-            break;
-        };
-        events_seen += 1;
-        match event.get("event").and_then(Json::as_str) {
-            Some("sample") => {
-                obs.samples += 1;
-                if obs.ttfs_ms.is_none() {
-                    obs.ttfs_ms = Some(ms(t0.elapsed()));
-                }
-            }
-            Some("done") => {
-                obs.status = event.get("status").and_then(Json::as_str).map(String::from);
-                obs.degraded = event
-                    .get("degraded")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(false);
-                obs.queue_wait_ms = event.get("queue_wait_ms").and_then(Json::as_f64);
-                obs.e2e_ms = Some(ms(t0.elapsed()));
-            }
-            _ => {}
-        }
-        if let Some(after) = request.cancel_after_events {
-            if !cancel_sent && events_seen >= after {
-                cancel_sent = true;
-                // Cooperative cancel; the stream still ends with `done`.
-                let _ = client::delete(addr, &job_path);
-            }
-        }
-        if let Some(stall) = request.stall {
-            if events_seen.is_multiple_of(stall.every_events.max(1)) {
-                std::thread::sleep(stall.pause);
-            }
-        }
-    }
-    if obs.status.is_none() && !obs.stream_error {
-        // Stream drained without a terminal event — a server bug from the
-        // client's point of view.
-        obs.stream_error = true;
-    }
-    obs
-}
-
-fn ms(duration: Duration) -> f64 {
-    duration.as_secs_f64() * 1_000.0
 }
 
 /// Scrapes `/v1/metrics` and `/v1/metrics/prometheus` after a run drains
@@ -266,7 +120,12 @@ fn prometheus_value(text: &str, name: &str) -> Option<u64> {
 /// server scrape → SLO verdict, reduced to the scenario's report row.
 pub fn run_scenario_on(addr: SocketAddr, scenario: &Scenario) -> io::Result<ScenarioReport> {
     let plan = scenario.plan();
-    let outcome = run_plan(addr, &plan.requests);
+    let mut clients: Vec<Client> = plan.requests.iter().map(Client::scripted).collect();
+    let wall_clock = mux::run(addr, &mut clients);
+    let outcome = RunOutcome {
+        observations: clients.into_iter().map(|c| c.obs).collect(),
+        wall_clock,
+    };
     let server = scrape_server(addr)?;
     Ok(summarize(scenario, plan.fingerprint(), &outcome, server))
 }

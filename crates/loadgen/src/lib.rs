@@ -12,10 +12,11 @@
 //! | [`arrival`] | seeded Poisson / on-off burst arrival schedules |
 //! | [`scenario`] | [`Scenario`] specs, the four named presets, the [`scenario::chaos`] scenario, and deterministic [`WorkPlan`] expansion |
 //! | [`testbed`] | fresh simulated-OSN + service + loopback gateway per run; the chaos variant wraps the OSN in fault injection + the resilience policy and forces a breaker trip-and-recovery before traffic |
-//! | [`driver`] | the open-loop client driver and the server-metrics cross-check |
+//! | `mux` (private) | the one load harness: a single client thread runs every request as a state machine over non-blocking sockets (connect, `POST`, `GET`, decode events, scripted `DELETE`s and stalls) |
+//! | [`driver`] | open-loop scenario runs on that harness, reduced to reports, and the server-metrics cross-check |
 //! | [`slo`] | SLO thresholds and verdicts, including the chaos-only max-degraded-rate and zero-job-loss objectives |
 //! | [`report`] | per-scenario reports, `BENCH_service_load.json` and `BENCH_fault_resilience.json` emission |
-//! | [`streams`] | the `gateway_streams` concurrency tiers: one client thread multiplexing thousands of open NDJSON streams (`BENCH_gateway_streams.json`) |
+//! | [`streams`] | the `gateway_streams` concurrency tiers: thousands of NDJSON streams held open at once on the same harness (`BENCH_gateway_streams.json`) |
 //!
 //! Two properties carry the weight:
 //!
@@ -39,16 +40,19 @@
 //! assert!(report.slo.pass, "steady smoke run must meet its SLO");
 //! ```
 //!
-//! `cargo run --release --example load_replay` runs the full preset suite
-//! and writes `BENCH_service_load.json` at the repository root;
+//! `cargo bench -p wnw-bench --bench service_load` runs the full preset
+//! suite and writes `BENCH_service_load.json` at the repository root;
 //! `cargo run --release --example chaos_replay` runs the fault-injected
-//! chaos scenario and writes `BENCH_fault_resilience.json`.
+//! chaos scenario and writes `BENCH_fault_resilience.json`. With
+//! `WNW_BENCH_SMOKE` set, both run at smoke scale and write under
+//! `target/` instead, leaving the committed full-scale reports alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;
 pub mod driver;
+mod mux;
 pub mod report;
 pub mod scenario;
 pub mod slo;
@@ -63,6 +67,7 @@ pub use streams::{run_streams_suite, streams_suite_json, StreamsTierReport};
 pub use testbed::ChaosEvidence;
 
 use std::io;
+use std::path::{Path, PathBuf};
 
 /// Runs the four named presets at `scale`, each against its own fresh
 /// testbed, in suite order.
@@ -96,4 +101,22 @@ pub fn chaos_suite_json(scale: Scale, report: &ScenarioReport, evidence: &ChaosE
         Scale::Full => "full",
     };
     report::chaos_suite_to_json(mode, report, evidence).encode()
+}
+
+/// Writes a suite's `BENCH_*.json` document and returns where it went:
+/// the repository root at full scale, `target/` at smoke scale — so a
+/// CI-sized run never overwrites the committed full-scale report.
+pub fn write_report(scale: Scale, file_name: &str, document: &str) -> io::Result<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the crate sits two levels below the repository root");
+    let dir = match scale {
+        Scale::Smoke => root.join("target"),
+        Scale::Full => root.to_path_buf(),
+    };
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(file_name);
+    std::fs::write(&path, document)?;
+    Ok(path)
 }

@@ -1,28 +1,20 @@
 //! The `gateway_streams` tiers: thousands of concurrent NDJSON streams
 //! held open against a **two-I/O-thread** gateway.
 //!
-//! The driver in [`crate::driver`] spawns one OS thread per scripted
-//! client, which caps it at a few hundred concurrent streams before the
-//! harness itself becomes the bottleneck. This module scales past that
-//! with the same trick the server uses: **one** client thread multiplexes
-//! every stream over non-blocking sockets, decoding HTTP heads, chunk
-//! framing, and NDJSON lines incrementally from whatever bytes each
-//! socket has ready. The harness therefore costs one thread no matter
-//! the tier, which keeps the gateway — not the load generator — as the
-//! system under test on a small machine.
-//!
-//! A tier runs in three phases:
+//! A tier runs on the same one-thread multiplexer as the preset
+//! scenarios, in three phases:
 //!
 //! 1. **Submit.** Every job is posted over a handful of keep-alive
 //!    connections ([`SUBMIT_CONNECTIONS`]); the testbed's long claim TTL
 //!    (see [`crate::testbed::launch_streams`]) guarantees none of the
 //!    accepted-but-not-yet-claimed jobs get reaped mid-sweep.
-//! 2. **Open.** Every stream's `GET` is connected and written *before
-//!    any stream is drained*, so all of them are concurrently open — the
-//!    tier's concurrency claim holds by construction, not by racing.
+//! 2. **Open.** Every stream is due at the multiplexer's start, so its
+//!    first pass connects each one and writes its `GET` *before any
+//!    stream is read*: all of them are concurrently open — the tier's
+//!    concurrency claim holds by construction, not by racing.
 //! 3. **Drain.** The multiplexer loops over the open sockets, reading
 //!    whatever is ready, until every stream has delivered its chunk
-//!    terminator (or the drain deadline expires, which scores as loss).
+//!    terminator (or the run deadline expires, which scores as loss).
 //!
 //! Time-to-first-sample is measured per stream from *its* `GET` hitting
 //! the wire to its first `sample` line, so the open sweep itself is part
@@ -33,13 +25,14 @@
 //! so tiers are clamped to [`max_open_streams`] and the report records
 //! both the requested and the actually-opened width.
 
+use crate::mux::{self, Client, DIAMETER_ESTIMATE};
 use crate::report::{LatencySummary, ServerSummary};
 use crate::scenario::Scale;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::SocketAddr;
+use std::time::Instant;
 use wnw_gateway::client::Connection;
-use wnw_gateway::json::{self, Json};
+use wnw_gateway::json::Json;
 
 /// I/O threads the streams testbed pins the gateway to — the headline
 /// claim is "thousands of streams on two I/O threads", so the tier
@@ -55,31 +48,11 @@ pub const SUBMIT_CONNECTIONS: usize = 4;
 const SAMPLES_PER_JOB: u64 = 4;
 /// Walkers per tier job — two keeps each job's round fan-out trivial.
 const WALKERS_PER_JOB: u64 = 2;
-/// Diameter estimate submitted with every tier job (short burn-in).
-const DIAMETER_ESTIMATE: u64 = 4;
 
 /// Descriptors reserved for everything that is not a stream: stdio, the
 /// listener, submit connections, the metrics scrape, and test-runner
 /// incidentals.
 const FD_SLACK: usize = 128;
-
-/// Connects per burst between pauses, so the server's accept queue gets
-/// a chance to drain instead of dropping SYNs under a 10k sweep.
-const CONNECT_BATCH: usize = 64;
-/// Pause between connect bursts.
-const CONNECT_PAUSE: Duration = Duration::from_micros(500);
-/// Attempts per stream connect before scoring it as a stream error.
-const CONNECT_ATTEMPTS: u32 = 3;
-
-/// Hard ceiling on the drain phase; streams still open at the deadline
-/// score as lost, which fails the tier.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(300);
-/// Sleep when a full multiplexer pass moves no bytes — on a small box
-/// the server's threads need the core more than a spinning client does.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
-/// Read size per `read` call, and reads per stream per pass.
-const READ_CHUNK: usize = 16 * 1024;
-const READS_PER_PASS: usize = 4;
 
 /// Streams one tier can hold open at once. Each loopback stream costs
 /// **two** descriptors in this process (client end + the server's
@@ -246,43 +219,17 @@ pub fn run_tier(addr: SocketAddr, requested: usize) -> io::Result<StreamsTierRep
     let attempt = requested.min(max_open_streams());
 
     let submit = submit_jobs(addr, attempt)?;
-    let (mut streams, connect_failures) = open_streams(addr, &submit.paths);
-    let opened = streams.len();
-
-    // Drain: loop over whatever is readable until every stream closed
-    // or the deadline expires. `now` is sampled once per pass —
-    // millisecond-scale latency summaries don't need per-socket clocks.
-    let deadline = Instant::now() + DRAIN_TIMEOUT;
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            for s in streams.iter_mut().filter(|s| s.sock.is_some()) {
-                s.fail("drain deadline expired");
-            }
-            break;
-        }
-        let mut progress = false;
-        let mut open = 0usize;
-        for s in &mut streams {
-            if s.sock.is_some() {
-                open += 1;
-                progress |= s.step(now);
-            }
-        }
-        if open == 0 {
-            break;
-        }
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
-        }
-    }
+    let mut streams: Vec<Client> = submit.paths.iter().cloned().map(Client::stream).collect();
+    mux::run(addr, &mut streams);
 
     let wall_clock_s = started.elapsed().as_secs_f64();
-    let completed = streams.iter().filter(|s| s.completed()).count();
-    let stream_errors = streams.iter().filter(|s| s.error.is_some()).count() + connect_failures;
+    let completed = streams
+        .iter()
+        .filter(|s| s.ended_ms.is_some() && s.obs.status.as_deref() == Some("completed"))
+        .count();
     // Lost = accepted by the gateway, but its client never saw a done
     // event (connect failures included: their jobs were accepted too).
-    let lost = submit.paths.len() - streams.iter().filter(|s| s.saw_done).count();
+    let lost = streams.iter().filter(|s| s.obs.status.is_none()).count();
     let events: u64 = streams.iter().map(|s| s.events).sum();
 
     Ok(StreamsTierReport {
@@ -290,11 +237,11 @@ pub fn run_tier(addr: SocketAddr, requested: usize) -> io::Result<StreamsTierRep
         submitted: submit.paths.len(),
         shed: submit.shed,
         submit_errors: submit.errors,
-        opened,
+        opened: streams.iter().filter(|s| s.opened).count(),
         completed,
-        stream_errors,
+        stream_errors: streams.iter().filter(|s| s.obs.stream_error).count(),
         lost,
-        samples: streams.iter().map(|s| s.samples).sum(),
+        samples: streams.iter().map(|s| s.obs.samples).sum(),
         events,
         wall_clock_s,
         events_per_sec: if wall_clock_s > 0.0 {
@@ -302,8 +249,10 @@ pub fn run_tier(addr: SocketAddr, requested: usize) -> io::Result<StreamsTierRep
         } else {
             0.0
         },
-        ttfs_ms: LatencySummary::from_ms(streams.iter().filter_map(|s| s.ttfs_ms).collect()),
-        stream_done_ms: LatencySummary::from_ms(streams.iter().filter_map(|s| s.done_ms).collect()),
+        ttfs_ms: LatencySummary::from_ms(streams.iter().filter_map(|s| s.obs.ttfs_ms).collect()),
+        stream_done_ms: LatencySummary::from_ms(
+            streams.iter().filter_map(|s| s.ended_ms).collect(),
+        ),
         server: crate::driver::scrape_server(addr)?,
     })
 }
@@ -357,298 +306,10 @@ fn submit_jobs(addr: SocketAddr, count: usize) -> io::Result<SubmitOutcome> {
     Ok(outcome)
 }
 
-/// Connects every stream and writes its `GET` **before returning**, in
-/// paced bursts so the listener's accept queue keeps up. No stream is
-/// read here — when this returns, all of them are concurrently open.
-fn open_streams(addr: SocketAddr, paths: &[String]) -> (Vec<MuxStream>, usize) {
-    let mut streams = Vec::with_capacity(paths.len());
-    let mut failures = 0usize;
-    for (i, path) in paths.iter().enumerate() {
-        match open_one(addr, path) {
-            Ok(stream) => streams.push(stream),
-            Err(_) => failures += 1,
-        }
-        if (i + 1) % CONNECT_BATCH == 0 {
-            std::thread::sleep(CONNECT_PAUSE);
-        }
-    }
-    (streams, failures)
-}
-
-/// Connects one stream socket, writes its request while still blocking
-/// (a sub-200-byte write into an empty send buffer cannot stall), then
-/// flips it non-blocking for the multiplexer.
-fn open_one(addr: SocketAddr, path: &str) -> io::Result<MuxStream> {
-    let mut last = None;
-    for backoff in 0..CONNECT_ATTEMPTS {
-        if backoff > 0 {
-            std::thread::sleep(Duration::from_millis(10 << backoff));
-        }
-        match TcpStream::connect(addr) {
-            Ok(mut sock) => {
-                sock.set_nodelay(true)?;
-                sock.write_all(
-                    format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-                        .as_bytes(),
-                )?;
-                sock.set_nonblocking(true)?;
-                return Ok(MuxStream::new(sock));
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.expect("at least one connect attempt ran"))
-}
-
-/// Decoder position within one stream's response bytes.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// Waiting for the complete response head (`\r\n\r\n`).
-    Head,
-    /// At a chunk-size line.
-    ChunkSize,
-    /// Inside chunk data with this many bytes still due.
-    ChunkData { remaining: usize },
-    /// At the CRLF that closes a chunk's data.
-    ChunkCrlf,
-    /// Past the zero chunk, consuming (empty) trailers.
-    Trailer,
-    /// Terminator seen — the stream completed.
-    Done,
-}
-
-/// One multiplexed stream: its socket, undecoded bytes, decoder state,
-/// and everything observed about it.
-struct MuxStream {
-    /// `None` once closed (completed or failed).
-    sock: Option<TcpStream>,
-    /// Received, not-yet-decoded bytes.
-    buf: Vec<u8>,
-    /// De-chunked bytes not yet consumed as complete NDJSON lines.
-    line_buf: Vec<u8>,
-    phase: Phase,
-    opened_at: Instant,
-    ttfs_ms: Option<f64>,
-    done_ms: Option<f64>,
-    /// A `done` event arrived (any status).
-    saw_done: bool,
-    /// The `done` event's status was `completed`.
-    done_completed: bool,
-    samples: u64,
-    events: u64,
-    error: Option<&'static str>,
-}
-
-impl MuxStream {
-    fn new(sock: TcpStream) -> Self {
-        MuxStream {
-            sock: Some(sock),
-            buf: Vec::new(),
-            line_buf: Vec::new(),
-            phase: Phase::Head,
-            opened_at: Instant::now(),
-            ttfs_ms: None,
-            done_ms: None,
-            saw_done: false,
-            done_completed: false,
-            samples: 0,
-            events: 0,
-            error: None,
-        }
-    }
-
-    /// Ran to a clean end: terminator decoded, `done` said `completed`.
-    fn completed(&self) -> bool {
-        matches!(self.phase, Phase::Done) && self.done_completed && self.error.is_none()
-    }
-
-    /// One multiplexer visit: read what is ready, decode it. Returns
-    /// whether any bytes moved.
-    fn step(&mut self, now: Instant) -> bool {
-        let mut progress = false;
-        let mut eof = false;
-        let mut broken = false;
-        let mut scratch = [0u8; READ_CHUNK];
-        for _ in 0..READS_PER_PASS {
-            let Some(sock) = self.sock.as_mut() else {
-                return progress;
-            };
-            match sock.read(&mut scratch) {
-                Ok(0) => {
-                    // The terminator and the EOF behind it often land in
-                    // one pass — decode what arrived before judging it.
-                    eof = true;
-                    progress = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&scratch[..n]);
-                    progress = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    broken = true;
-                    progress = true;
-                    break;
-                }
-            }
-        }
-        if progress {
-            if let Err(msg) = self.decode(now) {
-                self.fail(msg);
-            } else if matches!(self.phase, Phase::Done) {
-                // Close as soon as the terminator lands — no reason to
-                // hold the descriptors through the rest of the drain.
-                self.sock = None;
-                if self.done_ms.is_none() {
-                    self.done_ms = Some(ms_between(self.opened_at, now));
-                }
-            } else if broken {
-                self.fail("socket read error");
-            } else if eof {
-                self.fail("connection closed before the chunk terminator");
-            }
-        }
-        progress
-    }
-
-    fn fail(&mut self, msg: &'static str) {
-        if self.error.is_none() {
-            self.error = Some(msg);
-        }
-        self.sock = None;
-    }
-
-    /// Decodes as much of `buf` as the current phase allows.
-    fn decode(&mut self, now: Instant) -> Result<(), &'static str> {
-        let mut pos = 0usize;
-        loop {
-            match self.phase {
-                Phase::Head => {
-                    let Some(end) = find(&self.buf[pos..], b"\r\n\r\n") else {
-                        break;
-                    };
-                    {
-                        let head = std::str::from_utf8(&self.buf[pos..pos + end])
-                            .map_err(|_| "non-UTF-8 response head")?;
-                        let mut lines = head.split("\r\n");
-                        let status = lines
-                            .next()
-                            .and_then(|l| l.split(' ').nth(1))
-                            .and_then(|s| s.parse::<u16>().ok())
-                            .ok_or("malformed status line")?;
-                        if status != 200 {
-                            return Err("non-200 response to stream open");
-                        }
-                        if !lines.any(|l| {
-                            let l = l.to_ascii_lowercase();
-                            l.starts_with("transfer-encoding") && l.contains("chunked")
-                        }) {
-                            return Err("stream response is not chunked");
-                        }
-                    }
-                    pos += end + 4;
-                    self.phase = Phase::ChunkSize;
-                }
-                Phase::ChunkSize => {
-                    let Some(eol) = find(&self.buf[pos..], b"\r\n") else {
-                        break;
-                    };
-                    let line = std::str::from_utf8(&self.buf[pos..pos + eol])
-                        .map_err(|_| "non-UTF-8 chunk size line")?;
-                    let size =
-                        usize::from_str_radix(line.split(';').next().unwrap_or("").trim(), 16)
-                            .map_err(|_| "bad chunk size")?;
-                    pos += eol + 2;
-                    self.phase = if size == 0 {
-                        Phase::Trailer
-                    } else {
-                        Phase::ChunkData { remaining: size }
-                    };
-                }
-                Phase::ChunkData { remaining } => {
-                    let avail = self.buf.len() - pos;
-                    if avail == 0 {
-                        break;
-                    }
-                    let take = remaining.min(avail);
-                    self.line_buf.extend_from_slice(&self.buf[pos..pos + take]);
-                    pos += take;
-                    self.phase = if take == remaining {
-                        Phase::ChunkCrlf
-                    } else {
-                        Phase::ChunkData {
-                            remaining: remaining - take,
-                        }
-                    };
-                    self.drain_lines(now)?;
-                }
-                Phase::ChunkCrlf => {
-                    if self.buf.len() - pos < 2 {
-                        break;
-                    }
-                    if &self.buf[pos..pos + 2] != b"\r\n" {
-                        return Err("chunk not CRLF-terminated");
-                    }
-                    pos += 2;
-                    self.phase = Phase::ChunkSize;
-                }
-                Phase::Trailer => {
-                    let Some(eol) = find(&self.buf[pos..], b"\r\n") else {
-                        break;
-                    };
-                    pos += eol + 2;
-                    if eol == 0 {
-                        self.phase = Phase::Done;
-                    }
-                }
-                Phase::Done => break,
-            }
-        }
-        self.buf.drain(..pos);
-        Ok(())
-    }
-
-    /// Classifies every complete NDJSON line sitting in `line_buf`.
-    fn drain_lines(&mut self, now: Instant) -> Result<(), &'static str> {
-        while let Some(nl) = self.line_buf.iter().position(|&b| b == b'\n') {
-            let rest = self.line_buf.split_off(nl + 1);
-            let mut line = std::mem::replace(&mut self.line_buf, rest);
-            line.pop();
-            let text = std::str::from_utf8(&line).map_err(|_| "non-UTF-8 event line")?;
-            let event = json::parse(text).map_err(|_| "malformed NDJSON event")?;
-            self.events += 1;
-            match event.get("event").and_then(Json::as_str) {
-                Some("sample") => {
-                    self.samples += 1;
-                    if self.ttfs_ms.is_none() {
-                        self.ttfs_ms = Some(ms_between(self.opened_at, now));
-                    }
-                }
-                Some("done") => {
-                    self.saw_done = true;
-                    self.done_completed =
-                        event.get("status").and_then(Json::as_str) == Some("completed");
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
-fn ms_between(from: Instant, to: Instant) -> f64 {
-    to.saturating_duration_since(from).as_secs_f64() * 1_000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wnw_gateway::json;
 
     /// A small real tier over loopback: every stream opened before the
     /// drain, every one completed, nothing shed or lost.

@@ -22,8 +22,11 @@
 //! cargo run --release --example chaos_replay            # full scale
 //! WNW_BENCH_SMOKE=1 cargo run --example chaos_replay    # CI-sized
 //! ```
+//!
+//! A full run writes `BENCH_fault_resilience.json` at the repository
+//! root; a smoke run writes it under `target/`.
 
-use walk_not_wait::loadgen::{chaos_suite_json, run_chaos_suite, Scale};
+use walk_not_wait::loadgen::{chaos_suite_json, run_chaos_suite, write_report, Scale};
 
 fn main() {
     let scale = if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
@@ -75,12 +78,17 @@ fn main() {
         pass(evidence.breaker_recovered()),
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fault_resilience.json");
-    if let Err(err) = std::fs::write(path, chaos_suite_json(scale, &report, &evidence)) {
-        eprintln!("could not write {path}: {err}");
-        std::process::exit(1);
+    match write_report(
+        scale,
+        "BENCH_fault_resilience.json",
+        &chaos_suite_json(scale, &report, &evidence),
+    ) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(err) => {
+            eprintln!("could not write BENCH_fault_resilience.json: {err}");
+            std::process::exit(1);
+        }
     }
-    println!("\nwrote {path}");
 
     if !report.slo.pass || !evidence.retries_within_policy() || !evidence.breaker_recovered() {
         eprintln!("chaos run missed its resilience objectives");

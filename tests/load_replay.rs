@@ -8,7 +8,9 @@
 //! * a seeded rerun of the same scenario submits the identical job
 //!   multiset (plan fingerprints match across independent expansions);
 //! * the `hot_key` preset's Zipf-skewed start nodes concentrate work on
-//!   the celebrity nodes, so cross-job history reuse shows real savings.
+//!   the celebrity nodes, so cross-job history reuse shows real savings;
+//! * the `churn` preset's mid-stream `DELETE`s and stalled readers cancel
+//!   jobs without losing any, and the run still meets its SLO.
 
 use walk_not_wait::loadgen::{scenario, testbed, Scale};
 
@@ -18,15 +20,7 @@ fn steady_smoke_run_reports_and_meets_its_slo() {
     let report = testbed::run_scenario(&steady).expect("steady smoke run");
 
     // Every offered request is accounted for exactly once.
-    assert!(report.offered > 0, "the plan must offer requests");
-    assert_eq!(
-        report.submitted + report.shed + report.submit_errors,
-        report.offered
-    );
-    assert_eq!(
-        report.completed + report.cancelled + report.failed,
-        report.submitted
-    );
+    assert_accounted(&report);
     assert!(report.completed > 0, "steady load must complete jobs");
     assert!(report.samples_delivered > 0);
 
@@ -58,6 +52,50 @@ fn steady_smoke_run_reports_and_meets_its_slo() {
         report.slo.pass,
         "steady smoke must meet its SLO: {:?}",
         report.slo.checks
+    );
+}
+
+/// The accounting identities every driven run must satisfy: each offered
+/// request is submitted, shed, or failed to submit, and each submitted job
+/// ends completed, cancelled, or failed.
+fn assert_accounted(report: &walk_not_wait::loadgen::ScenarioReport) {
+    assert!(report.offered > 0, "the plan must offer requests");
+    assert_eq!(
+        report.submitted + report.shed + report.submit_errors,
+        report.offered
+    );
+    assert_eq!(
+        report.completed + report.cancelled + report.failed,
+        report.submitted
+    );
+}
+
+#[test]
+fn churn_smoke_run_cancels_and_stalls_without_losing_jobs() {
+    // A scripted DELETE races its job's last round: a smoke job finishes
+    // about half a millisecond after its first event, so a run cancels
+    // only a few jobs and, rarely, none. Every run must stay whole; a
+    // cancel must land within a few runs.
+    const RUNS: usize = 4;
+    let churn = scenario::churn(Scale::Smoke);
+    let mut cancelled = 0;
+    for _ in 0..RUNS {
+        let report = testbed::run_scenario(&churn).expect("churn smoke run");
+        assert_accounted(&report);
+        assert_eq!(report.lost, 0, "every accepted job must reach `done`");
+        assert!(
+            report.slo.pass,
+            "churn smoke must meet its SLO: {:?}",
+            report.slo.checks
+        );
+        cancelled = report.cancelled;
+        if cancelled > 0 {
+            break;
+        }
+    }
+    assert!(
+        cancelled > 0,
+        "scripted DELETEs cancelled no job in {RUNS} runs"
     );
 }
 
