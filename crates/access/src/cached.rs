@@ -136,13 +136,6 @@ impl<N: SocialNetwork> SocialNetwork for CachedNetwork<N> {
         Ok(list)
     }
 
-    /// Metered and cached exactly like [`neighbors`](SocialNetwork::neighbors)
-    /// (a miss fetches and caches the full list), but a hit reads the length
-    /// without copying the list.
-    fn degree(&self, v: NodeId) -> Result<usize> {
-        Ok(self.neighbor_list(v)?.len())
-    }
-
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         let value = self.inner.attribute(name, v)?;
         self.stats.record_attribute_read();

@@ -186,7 +186,8 @@ impl QueryCounter {
     }
 
     /// Runs `query`, the inner answer to a neighbor query for `v`, under
-    /// this counter's budget and accounting.
+    /// this counter's budget and accounting, and charges `v` to `ledger`
+    /// when this counter charges it for the first time.
     ///
     /// The budget is checked *before* `query` runs, but the charge is
     /// recorded only *after* it succeeds: a failed query (rate limit,
@@ -194,16 +195,28 @@ impl QueryCounter {
     /// later successful retry is charged. The check takes the one lock; a
     /// node already visited stays visited (the set only grows between
     /// resets), so its answer is recorded as a hit with two relaxed atomic
-    /// adds and no second lock. Only a first visit locks again, to charge
-    /// the node.
-    pub(crate) fn metered<T>(&self, v: NodeId, query: impl FnOnce() -> Result<T>) -> Result<T> {
+    /// adds and touches neither lock again. Only a first visit locks again,
+    /// to charge the node, and then locks the ledger once. Several counters
+    /// sharing one ledger therefore leave in it exactly the union of their
+    /// visited sets. The ledger's budget is never consulted for a refusal:
+    /// it must be unlimited.
+    pub(crate) fn metered<T>(
+        &self,
+        v: NodeId,
+        ledger: &QueryCounter,
+        query: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
         let visited = self.admit(v)?;
         let answer = query()?;
         if visited {
             self.stats.record_hit();
-        } else {
-            self.record_neighbor_query(v)
-                .expect("budget was checked before the inner query");
+        } else if self
+            .record_neighbor_query(v)
+            .expect("budget was checked before the inner query")
+        {
+            ledger
+                .record_neighbor_query(v)
+                .expect("a ledger is unlimited");
         }
         Ok(answer)
     }
@@ -292,22 +305,26 @@ mod tests {
     fn metered_matches_record_alone_and_failures_charge_nothing() {
         let metered = QueryCounter::with_budget(QueryBudget(2));
         let plain = QueryCounter::with_budget(QueryBudget(2));
+        let ledger = QueryCounter::unlimited();
         let failing = || -> Result<()> { Err(AccessError::UnknownNode(NodeId(3))) };
-        assert_eq!(metered.metered(NodeId(3), failing), failing());
+        assert_eq!(metered.metered(NodeId(3), &ledger, failing), failing());
         assert_eq!(metered.stats(), QueryStats::default());
         for v in [1, 1, 2, 1, 2] {
             let v = NodeId(v);
-            metered.metered(v, || Ok(())).unwrap();
+            metered.metered(v, &ledger, || Ok(())).unwrap();
             plain.record_neighbor_query(v).unwrap();
             assert_eq!(metered.stats(), plain.stats());
         }
         // Budget spent: a new node is refused before its query runs.
         let before = metered.stats();
         assert_eq!(
-            metered.metered(NodeId(3), || -> Result<()> { unreachable!() }),
+            metered.metered(NodeId(3), &ledger, || -> Result<()> { unreachable!() }),
             Err(AccessError::BudgetExhausted { budget: 2 })
         );
         assert_eq!(metered.stats(), before);
+        // The ledger saw each first charge once, and nothing else.
+        assert_eq!(ledger.query_cost(), 2);
+        assert_eq!(ledger.stats().api_calls, 2);
     }
 
     #[test]

@@ -31,9 +31,11 @@ pub trait SocialNetwork {
 
     /// Returns the degree `|N(v)|`, charging the same cost as
     /// [`neighbors`](Self::neighbors) (the interface returns the full list;
-    /// degree is just its length).
+    /// degree is just its length). It is one
+    /// [`neighbor_list`](Self::neighbor_list) call, so a cache below hands
+    /// out its own list instead of a copy, and no wrapper overrides it.
     fn degree(&self, v: NodeId) -> Result<usize> {
-        Ok(self.neighbors(v)?.len())
+        Ok(self.neighbor_list(v)?.len())
     }
 
     /// Reads a numeric attribute of a node the caller has sampled (e.g. its
@@ -86,9 +88,6 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for &N {
     fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
         (**self).neighbor_list(v)
     }
-    fn degree(&self, v: NodeId) -> Result<usize> {
-        (**self).degree(v)
-    }
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         (**self).attribute(name, v)
     }
@@ -114,9 +113,6 @@ impl<N: SocialNetwork + ?Sized> SocialNetwork for Arc<N> {
     }
     fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
         (**self).neighbor_list(v)
-    }
-    fn degree(&self, v: NodeId) -> Result<usize> {
-        (**self).degree(v)
     }
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
         (**self).attribute(name, v)

@@ -22,9 +22,11 @@
 //! * [`CachedNetwork`] — a sharded, lock-striped neighbor cache any number
 //!   of concurrent walkers can share, with exact unique-node accounting
 //!   under contention;
-//! * [`MeteredNetwork`] — an independent per-caller metering and budget view
+//! * [`MeteredNetwork`] — an independent per-walker metering and budget view
 //!   over a shared network (how the engine gives each walker its own
-//!   deterministic budget share);
+//!   deterministic budget share), which also charges its first visits to a
+//!   job-wide ledger [`QueryCounter`], so a job's query cost is the union of
+//!   its walkers' visited sets;
 //! * [`ThreadedNetwork`] — the `Send + Sync` marker the concurrent engine
 //!   requires of a network handle shared across worker threads;
 //! * [`FaultyNetwork`] — seeded, deterministic fault injection (transient
@@ -50,7 +52,6 @@ pub mod fault;
 pub mod interface;
 pub mod metered;
 pub mod rate_limit;
-pub mod rebased;
 pub mod resilient;
 pub mod restrictions;
 pub mod simulated;
@@ -63,7 +64,6 @@ pub use fault::{FaultInjector, FaultProfile, FaultStats, FaultyNetwork};
 pub use interface::{SocialNetwork, ThreadedNetwork};
 pub use metered::MeteredNetwork;
 pub use rate_limit::{RateLimitMode, RateLimitPolicy, RateLimiter};
-pub use rebased::Rebased;
 pub use resilient::{ResilienceMonitor, ResilienceStats, ResilientNetwork, RetryPolicy};
 pub use restrictions::NeighborRestriction;
 pub use simulated::SimulatedOsn;

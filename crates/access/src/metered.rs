@@ -1,4 +1,4 @@
-//! Per-caller metering over a shared network.
+//! Per-walker metering over a shared network.
 //!
 //! When several walkers share one [`CachedNetwork`](crate::CachedNetwork),
 //! the cache's counters describe the *pool*: how many distinct nodes anyone
@@ -11,6 +11,13 @@
 //! happens to query last, so the accepted-sample multiset would depend on
 //! thread interleaving. A budget split across walkers is enforced against
 //! each walker's own deterministic query sequence instead.
+//!
+//! A job's query cost (the paper's Section 2.4 measure: unique nodes
+//! accessed) is the union of its walkers' visited sets. Each view therefore
+//! also charges a **ledger**, an unlimited [`QueryCounter`] shared by the
+//! views of one job, the first time it charges its own counter for a node.
+//! The ledger ends at exactly that union, whatever the interleaving, and a
+//! warm step (a node the walker already visited) never touches it.
 
 use crate::counter::{QueryBudget, QueryCounter, QueryStats};
 use crate::interface::SocialNetwork;
@@ -25,26 +32,31 @@ use wnw_graph::NodeId;
 /// the stats afterwards — the engine reports per-walker costs this way.
 ///
 /// The view meters *answered* queries: an inner failure (rate limit, unknown
-/// node) consumes no budget and leaves the counters untouched, so a retry is
-/// charged as the first access it effectively is.
+/// node) consumes no budget and leaves the counters and the ledger
+/// untouched, so a retry is charged as the first access it effectively is.
 #[derive(Debug, Clone)]
 pub struct MeteredNetwork<N> {
     inner: N,
     counter: Arc<QueryCounter>,
+    ledger: Arc<QueryCounter>,
 }
 
 impl<N: SocialNetwork> MeteredNetwork<N> {
-    /// Wraps `inner` with an unlimited per-view budget.
-    pub fn new(inner: N) -> Self {
-        Self::with_budget(inner, QueryBudget::UNLIMITED)
+    /// Wraps `inner` with an unlimited per-view budget, charging each node
+    /// the view visits first to `ledger` (which must be unlimited).
+    pub fn new(inner: N, ledger: Arc<QueryCounter>) -> Self {
+        Self::with_budget(inner, QueryBudget::UNLIMITED, ledger)
     }
 
     /// Wraps `inner`, failing this view's queries beyond `budget` unique
-    /// nodes — regardless of how cheap they are for the wrapped network.
-    pub fn with_budget(inner: N, budget: QueryBudget) -> Self {
+    /// nodes — regardless of how cheap they are for the wrapped network —
+    /// and charging each node the view visits first to `ledger` (which must
+    /// be unlimited).
+    pub fn with_budget(inner: N, budget: QueryBudget, ledger: Arc<QueryCounter>) -> Self {
         MeteredNetwork {
             inner,
             counter: Arc::new(QueryCounter::with_budget(budget)),
+            ledger,
         }
     }
 
@@ -64,29 +76,17 @@ impl<N: SocialNetwork> MeteredNetwork<N> {
     pub fn counter_handle(&self) -> Arc<QueryCounter> {
         self.counter.clone()
     }
-
-    /// Runs one neighbor-list access (`query` is the inner `neighbors`,
-    /// `neighbor_list` or `degree`) under this view's budget and accounting
-    /// (see [`QueryCounter::metered`] for the order of check and charge).
-    fn metered<T>(&self, v: NodeId, query: impl FnOnce(&N) -> Result<T>) -> Result<T> {
-        self.counter.metered(v, || query(&self.inner))
-    }
 }
 
 impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
     fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
-        self.metered(v, |inner| inner.neighbors(v))
+        self.counter
+            .metered(v, &self.ledger, || self.inner.neighbors(v))
     }
 
     fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
-        self.metered(v, |inner| inner.neighbor_list(v))
-    }
-
-    /// Charged exactly like [`neighbors`](SocialNetwork::neighbors), but
-    /// asks the inner network for the length only, so a cache below need
-    /// not copy the list.
-    fn degree(&self, v: NodeId) -> Result<usize> {
-        self.metered(v, |inner| inner.degree(v))
+        self.counter
+            .metered(v, &self.ledger, || self.inner.neighbor_list(v))
     }
 
     fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
@@ -104,7 +104,8 @@ impl<N: SocialNetwork> SocialNetwork for MeteredNetwork<N> {
     }
 
     fn reset_counters(&self) {
-        // A view reset is local: the shared inner network keeps its state.
+        // A view reset is local: the shared inner network and the ledger
+        // keep their state.
         self.counter.reset();
     }
 
@@ -121,11 +122,15 @@ mod tests {
     use crate::AccessError;
     use wnw_graph::generators::classic::complete;
 
+    fn ledger() -> Arc<QueryCounter> {
+        Arc::new(QueryCounter::unlimited())
+    }
+
     #[test]
     fn views_meter_independently_over_one_cache() {
         let cache = CachedNetwork::new(SimulatedOsn::new(complete(6)));
-        let a = MeteredNetwork::new(&cache);
-        let b = MeteredNetwork::new(&cache);
+        let a = MeteredNetwork::new(&cache, ledger());
+        let b = MeteredNetwork::new(&cache, ledger());
         a.neighbors(NodeId(0)).unwrap();
         a.neighbors(NodeId(1)).unwrap();
         b.neighbors(NodeId(1)).unwrap();
@@ -137,12 +142,35 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_ledger_counts_the_union_of_first_visits() {
+        let cache = CachedNetwork::new(SimulatedOsn::new(complete(6)));
+        let job = ledger();
+        let a = MeteredNetwork::new(&cache, Arc::clone(&job));
+        let b = MeteredNetwork::with_budget(&cache, QueryBudget(1), Arc::clone(&job));
+        a.neighbors(NodeId(0)).unwrap();
+        a.degree(NodeId(1)).unwrap();
+        a.neighbor_list(NodeId(0)).unwrap();
+        b.neighbors(NodeId(1)).unwrap();
+        b.neighbors(NodeId(1)).unwrap();
+        // Refused by b's budget, and unknown below: neither is charged.
+        assert!(b.neighbors(NodeId(2)).is_err());
+        assert!(a.neighbors(NodeId(99)).is_err());
+        assert_eq!(job.query_cost(), 2, "the union of a and b visits");
+        // One charge per first visit of a view; hits never reach it.
+        assert_eq!(job.stats().api_calls, 3);
+        assert_eq!(job.query_cost(), cache.query_cost());
+        // A view reset leaves the job's ledger alone.
+        a.reset_counters();
+        assert_eq!(job.query_cost(), 2);
+    }
+
+    #[test]
     fn view_budget_is_enforced_even_for_cached_nodes() {
         let cache = CachedNetwork::new(SimulatedOsn::new(complete(6)));
         cache.neighbors(NodeId(0)).unwrap();
         cache.neighbors(NodeId(1)).unwrap();
         cache.neighbors(NodeId(2)).unwrap();
-        let view = MeteredNetwork::with_budget(&cache, QueryBudget(2));
+        let view = MeteredNetwork::with_budget(&cache, QueryBudget(2), ledger());
         view.neighbors(NodeId(0)).unwrap();
         view.neighbors(NodeId(1)).unwrap();
         // Node 2 is free for the pool but exceeds this view's budget.
@@ -157,8 +185,9 @@ mod tests {
     #[test]
     fn degree_probes_are_charged_like_neighbor_queries() {
         let cache = CachedNetwork::new(SimulatedOsn::new(complete(5)));
-        let by_degree = MeteredNetwork::with_budget(&cache, QueryBudget(2));
-        let by_list = MeteredNetwork::with_budget(SimulatedOsn::new(complete(5)), QueryBudget(2));
+        let by_degree = MeteredNetwork::with_budget(&cache, QueryBudget(2), ledger());
+        let by_list =
+            MeteredNetwork::with_budget(SimulatedOsn::new(complete(5)), QueryBudget(2), ledger());
         for v in [0, 1, 0, 2, 1] {
             let degree = by_degree.degree(NodeId(v));
             let list = by_list.neighbors(NodeId(v));
@@ -174,8 +203,9 @@ mod tests {
     #[test]
     fn neighbor_list_is_charged_like_neighbors() {
         let cache = CachedNetwork::new(SimulatedOsn::new(complete(5)));
-        let by_list = MeteredNetwork::with_budget(&cache, QueryBudget(2));
-        let by_vec = MeteredNetwork::with_budget(SimulatedOsn::new(complete(5)), QueryBudget(2));
+        let by_list = MeteredNetwork::with_budget(&cache, QueryBudget(2), ledger());
+        let by_vec =
+            MeteredNetwork::with_budget(SimulatedOsn::new(complete(5)), QueryBudget(2), ledger());
         // 9 is unknown (fails below, charges nothing); 2 is over budget.
         for v in [0, 9, 1, 0, 2, 1, 9] {
             let list = by_list.neighbor_list(NodeId(v));
@@ -192,7 +222,8 @@ mod tests {
 
     #[test]
     fn failed_queries_consume_no_budget() {
-        let view = MeteredNetwork::with_budget(SimulatedOsn::new(complete(3)), QueryBudget(2));
+        let view =
+            MeteredNetwork::with_budget(SimulatedOsn::new(complete(3)), QueryBudget(2), ledger());
         for _ in 0..3 {
             assert!(matches!(
                 view.neighbors(NodeId(99)),
@@ -213,7 +244,7 @@ mod tests {
     #[test]
     fn reset_is_local_to_the_view() {
         let cache = CachedNetwork::new(SimulatedOsn::new(complete(4)));
-        let view = MeteredNetwork::new(&cache);
+        let view = MeteredNetwork::new(&cache, ledger());
         view.neighbors(NodeId(0)).unwrap();
         view.reset_counters();
         assert_eq!(view.query_cost(), 0);
@@ -229,7 +260,7 @@ mod tests {
     fn attribute_and_hints_delegate() {
         let mut g = complete(3);
         g.set_attribute("stars", vec![5.0, 4.0, 3.0]).unwrap();
-        let view = MeteredNetwork::new(SimulatedOsn::new(g));
+        let view = MeteredNetwork::new(SimulatedOsn::new(g), ledger());
         assert_eq!(view.attribute("stars", NodeId(1)).unwrap(), 4.0);
         assert_eq!(view.query_stats().attribute_reads, 1);
         assert_eq!(view.node_count_hint(), Some(3));

@@ -14,11 +14,7 @@ use wnw_loadgen::streams::{run_streams_suite, streams_suite_json, suite_pass};
 use wnw_loadgen::{write_report, Scale};
 
 fn main() {
-    let scale = if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
+    let scale = Scale::from_env();
     let reports = match run_streams_suite(scale) {
         Ok(reports) => reports,
         Err(err) => {
@@ -43,19 +39,11 @@ fn main() {
         );
     }
 
-    match write_report(
+    write_report(
         scale,
         "BENCH_gateway_streams.json",
         &streams_suite_json(scale, &reports),
-    ) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => {
-            // The JSON report is the bench's whole point for CI — a silent
-            // miss would leave the workflow green with no artifact.
-            eprintln!("could not write BENCH_gateway_streams.json: {err}");
-            std::process::exit(1);
-        }
-    }
+    );
 
     if !suite_pass(scale, &reports) {
         eprintln!("gateway streams suite failed its verdict");

@@ -15,15 +15,17 @@
 //! The per-lookup cost of `Graph::neighbors` is `micro_access_stack`'s
 //! `graph` layer; it is not repeated here.
 //!
-//! The bench writes `BENCH_graph_substrate.json` at the repo root, with the
-//! host's `nproc`. At full scale the run **gates**: a catalog load must be
-//! ≥ 10× faster than regeneration at the largest spec.
+//! The bench writes `BENCH_graph_substrate.json` at the repo root (a smoke
+//! run writes it under `target/`), with the host's `nproc`. At full scale
+//! the run **gates**: a catalog load must be ≥ 10× faster than regeneration
+//! at the largest spec.
 
 use std::time::{Duration, Instant};
 use wnw_catalog::{format, GraphSpec};
+use wnw_loadgen::{write_report, Scale};
 
 fn smoke() -> bool {
-    std::env::var_os("WNW_BENCH_SMOKE").is_some()
+    Scale::from_env() == Scale::Smoke
 }
 
 /// Registry specs measured at each scale.
@@ -101,7 +103,7 @@ fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn write_json(results: &[SpecResult], path: &str) -> std::io::Result<()> {
+fn report_json(results: &[SpecResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"graph_substrate\",\n");
@@ -131,7 +133,7 @@ fn write_json(results: &[SpecResult], path: &str) -> std::io::Result<()> {
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
+    out
 }
 
 fn main() {
@@ -152,19 +154,11 @@ fn main() {
         );
     }
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_graph_substrate.json"
+    write_report(
+        Scale::from_env(),
+        "BENCH_graph_substrate.json",
+        &report_json(&results),
     );
-    match write_json(&results, path) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(err) => {
-            // The JSON report is the bench's whole point for CI — a silent
-            // miss would leave the workflow green with no artifact.
-            eprintln!("could not write {path}: {err}");
-            std::process::exit(1);
-        }
-    }
 
     // The gate, judged on the largest spec (1M nodes at full scale). Smoke
     // runs report the same numbers but do not gate: CI's shared runners are

@@ -9,11 +9,12 @@
 //! * `cached_hit` — a warm `CachedNetwork` over the backend, every step a
 //!   cache hit;
 //! * `service_view` — what a service walker reads through:
-//!   `MeteredNetwork<Rebased<MeteredNetwork<Arc<CachedNetwork<Arc<SimulatedOsn>>>>>>`,
-//!   a per-walker budget view over a per-job view over the shared cache.
+//!   `MeteredNetwork<Arc<CachedNetwork<Arc<SimulatedOsn>>>>`, a per-walker
+//!   budget view over the shared cache that charges its first visits to the
+//!   job's query-cost ledger.
 //!
 //! Each layer runs at 1, 2 and 4 threads. The threads share the layer (one
-//! backend, one cache, one job view) and walk at the same time, so the
+//! backend, one cache, one job ledger) and walk at the same time, so the
 //! shared locks contend; a thread in the service view has its own walker
 //! view, as each walker does. Every thread walks its seeded walk once to
 //! warm every layer, then walks it again timed: the same steps, now all
@@ -29,9 +30,8 @@ use rand::SeedableRng;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 use wnw_access::cached::CachedNetwork;
-use wnw_access::counter::QueryBudget;
+use wnw_access::counter::{QueryBudget, QueryCounter};
 use wnw_access::metered::MeteredNetwork;
-use wnw_access::rebased::Rebased;
 use wnw_access::{SimulatedOsn, SocialNetwork};
 use wnw_graph::generators::random::barabasi_albert;
 use wnw_graph::{Graph, NodeId};
@@ -124,7 +124,7 @@ fn main() {
     let service_cache = Arc::new(CachedNetwork::new(Arc::new(SimulatedOsn::new(
         graph.clone(),
     ))));
-    let job_view = MeteredNetwork::new(Arc::clone(&service_cache));
+    let ledger = Arc::new(QueryCounter::unlimited());
 
     let mut rows: Vec<(&str, Vec<f64>)> = Vec::new();
     let per_threads = |f: &dyn Fn(usize) -> f64| THREADS.iter().map(|&t| f(t)).collect();
@@ -157,8 +157,9 @@ fn main() {
                 steps,
                 |_| {
                     MeteredNetwork::with_budget(
-                        Rebased::new(job_view.clone(), None),
+                        Arc::clone(&service_cache),
                         QueryBudget::UNLIMITED,
+                        Arc::clone(&ledger),
                     )
                 },
                 walk_network,

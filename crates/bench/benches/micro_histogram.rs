@@ -13,19 +13,21 @@
 //! Besides the criterion-shim console output, the bench writes
 //! `BENCH_telemetry.json` at the repo root (record/quantile ns plus the
 //! on-vs-off overhead) so the perf trajectory has durable data points. Set
-//! `WNW_BENCH_SMOKE=1` for a fast CI-sized run.
+//! `WNW_BENCH_SMOKE=1` for a fast CI-sized run, which writes the report
+//! under `target/` instead.
 
 use criterion::{criterion_group, Criterion};
 use std::time::{Duration, Instant};
 use wnw_access::SimulatedOsn;
 use wnw_engine::SampleJob;
 use wnw_graph::generators::random::barabasi_albert;
+use wnw_loadgen::{write_report, Scale};
 use wnw_mcmc::RandomWalkKind;
 use wnw_service::{SampleRequest, SamplingService};
 use wnw_telemetry::Histogram;
 
 fn smoke() -> bool {
-    std::env::var_os("WNW_BENCH_SMOKE").is_some()
+    Scale::from_env() == Scale::Smoke
 }
 
 /// A deterministic latency-shaped value stream (xorshift, bounded to keep
@@ -152,7 +154,7 @@ fn measure_all() -> Results {
     }
 }
 
-fn write_json(r: &Results, path: &str) -> std::io::Result<()> {
+fn report_json(r: &Results) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"telemetry\",\n");
@@ -179,7 +181,7 @@ fn write_json(r: &Results, path: &str) -> std::io::Result<()> {
     ));
     out.push_str("  \"overhead_budget_pct\": 5.0\n");
     out.push_str("}\n");
-    std::fs::write(path, out)
+    out
 }
 
 fn bench_histogram(c: &mut Criterion) {
@@ -232,16 +234,9 @@ fn main() {
         results.off_ms,
         results.overhead_pct()
     );
-    // The bench binary's CWD is the package dir; anchor the report at the
-    // repo root regardless.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    match write_json(&results, path) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(err) => {
-            // The JSON report is the bench's whole point for CI — a silent
-            // miss would leave the workflow green with no artifact.
-            eprintln!("could not write {path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    write_report(
+        Scale::from_env(),
+        "BENCH_telemetry.json",
+        &report_json(&results),
+    );
 }

@@ -13,10 +13,12 @@
 //! Besides the criterion-shim console output, the bench writes
 //! `BENCH_round_dispatch.json` at the repo root (median ns/round per width
 //! and the pool-over-scoped speedup) so the perf trajectory has durable
-//! data points. Set `WNW_BENCH_SMOKE=1` for a fast CI-sized run.
+//! data points. Set `WNW_BENCH_SMOKE=1` for a fast CI-sized run, which
+//! writes the report under `target/` instead.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
+use wnw_loadgen::{write_report, Scale};
 use wnw_runtime::WorkerPool;
 
 /// Parallelism widths compared (1 = the inline fast path on both sides).
@@ -26,7 +28,7 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 const WALKERS: usize = 8;
 
 fn smoke() -> bool {
-    std::env::var_os("WNW_BENCH_SMOKE").is_some()
+    Scale::from_env() == Scale::Smoke
 }
 
 /// A few dozen nanoseconds of xorshift mixing — a stand-in for one walker's
@@ -124,7 +126,7 @@ fn measure_all() -> Vec<WidthResult> {
         .collect()
 }
 
-fn write_json(results: &[WidthResult], path: &str) -> std::io::Result<()> {
+fn report_json(results: &[WidthResult]) -> String {
     let (samples, rounds) = if smoke() { (3, 60) } else { (9, 400) };
     let mut out = String::new();
     out.push_str("{\n");
@@ -151,7 +153,7 @@ fn write_json(results: &[WidthResult], path: &str) -> std::io::Result<()> {
         ));
     }
     out.push_str("  ]\n}\n");
-    std::fs::write(path, out)
+    out
 }
 
 fn bench_round_dispatch(c: &mut Criterion) {
@@ -193,19 +195,9 @@ fn main() {
             r.speedup()
         );
     }
-    // The bench binary's CWD is the package dir; anchor the report at the
-    // repo root regardless.
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_round_dispatch.json"
+    write_report(
+        Scale::from_env(),
+        "BENCH_round_dispatch.json",
+        &report_json(&results),
     );
-    match write_json(&results, path) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(err) => {
-            // The JSON report is the bench's whole point for CI — a silent
-            // miss would leave the workflow green with no artifact.
-            eprintln!("could not write {path}: {err}");
-            std::process::exit(1);
-        }
-    }
 }

@@ -13,11 +13,7 @@
 use wnw_loadgen::{run_preset_suite, suite_json, write_report, Scale};
 
 fn main() {
-    let scale = if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
+    let scale = Scale::from_env();
     let reports = match run_preset_suite(scale) {
         Ok(reports) => reports,
         Err(err) => {
@@ -49,19 +45,11 @@ fn main() {
         }
     }
 
-    match write_report(
+    write_report(
         scale,
         "BENCH_service_load.json",
         &suite_json(scale, &reports),
-    ) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => {
-            // The JSON report is the bench's whole point for CI — a silent
-            // miss would leave the workflow green with no artifact.
-            eprintln!("could not write BENCH_service_load.json: {err}");
-            std::process::exit(1);
-        }
-    }
+    );
 
     if reports.iter().any(|r| !r.slo.pass) {
         eprintln!("one or more scenarios missed their SLO");

@@ -26,7 +26,6 @@ use std::sync::Arc;
 use wnw_access::counter::{QueryBudget, QueryCounter};
 use wnw_access::interface::SocialNetwork;
 use wnw_access::metered::MeteredNetwork;
-use wnw_access::rebased::Rebased;
 use wnw_access::AccessError;
 use wnw_core::history::{FrozenHistory, ReuseCorrection, SharedWalkHistory, WalkHistory};
 use wnw_core::sampler::WalkEstimateSampler;
@@ -99,11 +98,15 @@ impl WalkerState<'_> {
 /// The lifetime `'a` bounds the cache handle the walkers read through:
 /// [`Engine::run`](crate::Engine::run) uses a scope-local borrowed cache,
 /// while a long-lived service passes an owned (`'static`) handle such as
-/// `MeteredNetwork<Arc<CachedNetwork<…>>>`.
+/// `Arc<CachedNetwork<…>>`.
 pub struct JobDriver<'a> {
     walkers: Vec<WalkerState<'a>>,
     rounds: usize,
     requested: usize,
+    /// The job's query-cost ledger: every walker view charges it on its
+    /// first visit of a node, so it holds the union of the walkers' visited
+    /// sets (see [`query_cost`](Self::query_cost)).
+    ledger: Arc<QueryCounter>,
     /// The job's cooperative accumulator (when the spec uses one): what a
     /// publishing policy exports at reap. Contains only this job's own
     /// walks — a seeded base is read-only and never lands here.
@@ -113,12 +116,13 @@ pub struct JobDriver<'a> {
 impl<'a> JobDriver<'a> {
     /// Builds the walker stacks of `job` over `cache`: each walker gets its
     /// own clone of the handle, wrapped in a budget-enforcing
-    /// [`MeteredNetwork`] view, with the sampler the job's spec names on
-    /// top, seeded from the walker's RNG stream. Cooperative history (when
-    /// the spec profits from it) is created per job — live state is never
-    /// shared across jobs, which would make one request's samples depend on
-    /// what else is running (cross-job reuse goes through immutable
-    /// [`FrozenHistory`] snapshots instead; see
+    /// [`MeteredNetwork`] view that charges the job's ledger, with the
+    /// sampler the job's spec names on top, started at
+    /// [`SampleJob::resolve_start`] and seeded from the walker's RNG stream.
+    /// Cooperative history (when the spec profits from it) is created per
+    /// job — live state is never shared across jobs, which would make one
+    /// request's samples depend on what else is running (cross-job reuse
+    /// goes through immutable [`FrozenHistory`] snapshots instead; see
     /// [`with_seed_history`](Self::with_seed_history)).
     pub fn new<C>(cache: C, job: &SampleJob) -> Self
     where
@@ -146,11 +150,13 @@ impl<'a> JobDriver<'a> {
             && job.spec.uses_shared_history())
         .then(SharedWalkHistory::shared);
         let seed_history = shared_history.is_some().then_some(seed_history).flatten();
+        let ledger = Arc::new(QueryCounter::unlimited());
         let walkers = (0..job.walkers)
             .map(|w| {
                 build_walker(
                     cache.clone(),
                     job,
+                    &ledger,
                     shared_history.clone(),
                     seed_history.clone(),
                     w,
@@ -161,6 +167,7 @@ impl<'a> JobDriver<'a> {
             walkers,
             rounds: 0,
             requested: job.samples,
+            ledger,
             shared_history,
         }
     }
@@ -220,6 +227,14 @@ impl<'a> JobDriver<'a> {
     /// Samples accepted so far, across all walkers.
     pub fn samples_collected(&self) -> usize {
         self.walkers.iter().map(|w| w.produced.len()).sum()
+    }
+
+    /// The job's query cost so far, the paper's measure: unique nodes any of
+    /// its walkers accessed, each counted once however many walkers touched
+    /// it — the union of the walkers' visited sets. What the job would have
+    /// cost on its own; the shared cache may have paid for fewer.
+    pub fn query_cost(&self) -> u64 {
+        self.ledger.query_cost()
     }
 
     /// Sum of the walkers' own unique-node charges so far.
@@ -332,11 +347,13 @@ impl std::fmt::Debug for JobDriver<'_> {
 }
 
 /// Builds the sampler stack of one virtual walker: a per-walker metered
-/// (and budgeted) view over the shared cache handle, the spec'd sampler on
-/// top, seeded with the walker's own RNG stream.
+/// (and budgeted) view over the shared cache handle, charging the job's
+/// `ledger`, and the spec'd sampler on top, started at the job's start node
+/// and seeded with the walker's own RNG stream.
 fn build_walker<'a, C>(
     cache: C,
     job: &SampleJob,
+    ledger: &Arc<QueryCounter>,
     shared_history: Option<Arc<SharedWalkHistory>>,
     seed_history: Option<(Arc<FrozenHistory>, ReuseCorrection)>,
     walker: usize,
@@ -348,14 +365,14 @@ where
         .budget_of(walker)
         .map(QueryBudget)
         .unwrap_or(QueryBudget::UNLIMITED);
-    // Rebase unconditionally: with `start_node: None` the view passes the
-    // network's own seed node through, so the default path is unchanged.
-    let metered = MeteredNetwork::with_budget(Rebased::new(cache, job.start_node), budget);
+    let start = job.resolve_start(&cache);
+    let metered = MeteredNetwork::with_budget(cache, budget, Arc::clone(ledger));
     let counter = metered.counter_handle();
     let seed = job.seed_of(walker);
     let sampler: Box<dyn Sampler + Send + 'a> = match job.spec {
         SamplerSpec::WalkEstimate { input, config } => {
-            let mut sampler = WalkEstimateSampler::new(metered, input, config, seed);
+            let mut sampler =
+                WalkEstimateSampler::new(metered, input, config, seed).with_start(start);
             if let Some(diameter) = job.diameter_estimate {
                 sampler = sampler.with_diameter_estimate(diameter);
             }
@@ -371,10 +388,10 @@ where
             Box::new(sampler)
         }
         SamplerSpec::ManyShortRuns { input, config } => {
-            Box::new(ManyShortRunsSampler::new(metered, input, config, seed))
+            Box::new(ManyShortRunsSampler::new(metered, input, config, seed).with_start(start))
         }
         SamplerSpec::OneLongRun { input, config } => {
-            Box::new(OneLongRunSampler::new(metered, input, config, seed))
+            Box::new(OneLongRunSampler::new(metered, input, config, seed).with_start(start))
         }
     };
     WalkerState {
@@ -449,6 +466,94 @@ mod tests {
         let b = run(&job);
         assert_eq!(a.len(), 6);
         assert_eq!(a, b, "same job + same start node => same multiset");
+    }
+
+    #[test]
+    fn every_spec_starts_at_the_jobs_start_node() {
+        use wnw_core::config::WalkEstimateConfig;
+        use wnw_graph::{GraphBuilder, NodeId};
+        use wnw_mcmc::burn_in::BurnInConfig;
+
+        // Two disjoint 6-cliques: nodes 0..6 (the network's seed node, 0,
+        // is here) and 6..12. A walk cannot leave the clique it starts in.
+        let mut builder = GraphBuilder::new();
+        for clique in [0u32, 6] {
+            for u in clique..clique + 6 {
+                for v in u + 1..clique + 6 {
+                    builder.add_edge(u, v);
+                }
+            }
+        }
+        let osn = SimulatedOsn::new(builder.build());
+        let burn_in = BurnInConfig {
+            min_steps: 8,
+            max_steps: 40,
+            check_interval: 4,
+            ..BurnInConfig::default()
+        };
+        let input = RandomWalkKind::Simple;
+        let specs = [
+            SamplerSpec::WalkEstimate {
+                input,
+                config: WalkEstimateConfig::default(),
+            },
+            SamplerSpec::ManyShortRuns {
+                input,
+                config: burn_in,
+            },
+            SamplerSpec::OneLongRun {
+                input,
+                config: burn_in,
+            },
+        ];
+        for spec in specs {
+            let job = SampleJob::walk_estimate(input, 12, 5)
+                .with_spec(spec)
+                .with_walkers(3)
+                .with_diameter_estimate(2)
+                .with_start_node(NodeId(8));
+            assert_eq!(job.resolve_start(&osn), NodeId(8));
+            let report = crate::Engine::with_threads(2).run(&osn, &job).unwrap();
+            assert_eq!(report.len(), 12, "{spec:?}");
+            assert!(
+                report.samples.iter().all(|s| (6..12).contains(&s.node.0)),
+                "{spec:?} sampled outside the start node's clique"
+            );
+        }
+        // Without a start node the job starts at the network's seed node.
+        let job = SampleJob::walk_estimate(input, 4, 5).with_diameter_estimate(2);
+        assert_eq!(job.resolve_start(&osn), osn.seed_node());
+        let report = crate::Engine::with_threads(1).run(&osn, &job).unwrap();
+        assert!(report.samples.iter().all(|s| s.node.0 < 6));
+    }
+
+    #[test]
+    fn query_cost_is_the_union_of_the_walkers_visited_sets() {
+        let n = 400;
+        let osn = SimulatedOsn::new(barabasi_albert(n, 3, 11).unwrap());
+        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 24, 17)
+            .with_walkers(4)
+            .with_budget(600)
+            .with_diameter_estimate(4);
+        let cache = wnw_access::CachedNetwork::new(&osn);
+        let mut driver = JobDriver::new(&cache, &job);
+        let pool = WorkerPool::new(2);
+        let union = |driver: &JobDriver<'_>| {
+            (0..n as u32)
+                .map(wnw_graph::NodeId)
+                .filter(|&v| driver.walkers.iter().any(|w| w.counter.is_visited(v)))
+                .count() as u64
+        };
+        assert_eq!(driver.query_cost(), 0);
+        while !driver.is_done() {
+            driver.step_round(&pool);
+            let cost = driver.query_cost();
+            assert_eq!(cost, union(&driver), "round {}", driver.rounds());
+            assert!(cost <= driver.budget_consumed());
+            // One job on its own cache: the cache paid for the same nodes.
+            assert_eq!(cost, cache.query_cost());
+        }
+        assert!(driver.query_cost() > 0);
     }
 
     #[test]

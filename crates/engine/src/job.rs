@@ -9,6 +9,7 @@
 //! OS threads it was built with. The accepted-sample multiset therefore
 //! depends only on the job, never on the thread count.
 
+use wnw_access::SocialNetwork;
 use wnw_core::config::WalkEstimateConfig;
 use wnw_graph::NodeId;
 use wnw_mcmc::burn_in::BurnInConfig;
@@ -111,9 +112,10 @@ pub struct SampleJob {
     pub diameter_estimate: Option<usize>,
     /// Start node of every walker's walks. `None` (the default) starts from
     /// the network's own [`seed_node`](wnw_access::SocialNetwork::seed_node);
-    /// `Some` rebases the job onto the given node — which also becomes the
-    /// `start` component of the job's cross-job history key, so jobs rebased
-    /// onto the same hot node exchange history while jobs elsewhere never do.
+    /// `Some` starts the job at the given node — which also becomes the
+    /// `start` component of the job's cross-job history key, so jobs started
+    /// on the same hot node exchange history while jobs elsewhere never do.
+    /// [`resolve_start`](Self::resolve_start) applies the rule.
     pub start_node: Option<NodeId>,
 }
 
@@ -177,7 +179,7 @@ impl SampleJob {
         self
     }
 
-    /// Rebases every walker's walks onto `start` instead of the network's
+    /// Starts every walker's walks at `start` instead of the network's
     /// seed node.
     pub fn with_start_node(mut self, start: NodeId) -> Self {
         self.start_node = Some(start);
@@ -222,6 +224,15 @@ impl SampleJob {
     /// RNG seed of walker `w`.
     pub fn seed_of(&self, walker: usize) -> u64 {
         self.seed ^ walker as u64
+    }
+
+    /// The node every walker of this job starts from on `network`:
+    /// [`start_node`](Self::start_node) if set, else the network's own
+    /// [`seed_node`](SocialNetwork::seed_node). The driver starts its
+    /// walkers here, and the service keys the job's cross-job history on
+    /// it.
+    pub fn resolve_start<N: SocialNetwork + ?Sized>(&self, network: &N) -> NodeId {
+        self.start_node.unwrap_or_else(|| network.seed_node())
     }
 }
 

@@ -19,7 +19,10 @@
 //! multiset is identical at any thread count (see [`engine`] for the
 //! argument). Query budgets are split across walkers and enforced against
 //! per-walker [`MeteredNetwork`](wnw_access::MeteredNetwork) views for the
-//! same reason.
+//! same reason. A walker's whole access stack is that one view over the
+//! cache handle: the job's start node is a sampler argument
+//! ([`SampleJob::resolve_start`]), and the job's query cost is a ledger the
+//! views share and the [`JobDriver`] owns ([`JobDriver::query_cost`]).
 //!
 //! ```
 //! use wnw_access::SimulatedOsn;

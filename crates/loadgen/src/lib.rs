@@ -67,7 +67,7 @@ pub use streams::{run_streams_suite, streams_suite_json, StreamsTierReport};
 pub use testbed::ChaosEvidence;
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Runs the four named presets at `scale`, each against its own fresh
 /// testbed, in suite order.
@@ -103,10 +103,15 @@ pub fn chaos_suite_json(scale: Scale, report: &ScenarioReport, evidence: &ChaosE
     report::chaos_suite_to_json(mode, report, evidence).encode()
 }
 
-/// Writes a suite's `BENCH_*.json` document and returns where it went:
-/// the repository root at full scale, `target/` at smoke scale — so a
-/// CI-sized run never overwrites the committed full-scale report.
-pub fn write_report(scale: Scale, file_name: &str, document: &str) -> io::Result<PathBuf> {
+/// Writes a bench's `BENCH_*.json` document and prints where it went: the
+/// repository root at full scale, `target/` at smoke scale — so a CI-sized
+/// run never overwrites the committed full-scale report.
+///
+/// Meant for a bench or example `main`: a report that cannot be written
+/// ends the process with exit code 1, because the JSON report is the
+/// run's whole point for CI and a silent miss would leave the workflow
+/// green with no artifact.
+pub fn write_report(scale: Scale, file_name: &str, document: &str) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -115,8 +120,12 @@ pub fn write_report(scale: Scale, file_name: &str, document: &str) -> io::Result
         Scale::Smoke => root.join("target"),
         Scale::Full => root.to_path_buf(),
     };
-    std::fs::create_dir_all(&dir)?;
     let path = dir.join(file_name);
-    std::fs::write(&path, document)?;
-    Ok(path)
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, document)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(err) => {
+            eprintln!("could not write {}: {err}", path.display());
+            std::process::exit(1);
+        }
+    }
 }

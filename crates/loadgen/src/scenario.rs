@@ -233,7 +233,11 @@ impl Scenario {
                 PlannedRequest {
                     index,
                     at,
-                    samples: self.samples_per_job,
+                    samples: if cancel {
+                        CANCELLED_JOB_SAMPLES
+                    } else {
+                        self.samples_per_job
+                    },
                     walkers: self.walkers,
                     seed: derive_seed(self.seed, index as u64),
                     budget: self.budget,
@@ -269,6 +273,16 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale a bench or example runs at: `Smoke` when the
+    /// `WNW_BENCH_SMOKE` environment variable is set, `Full` otherwise.
+    pub fn from_env() -> Self {
+        if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
+            Scale::Smoke
+        } else {
+            Scale::Full
+        }
+    }
+
     fn window(&self, smoke: f64, full: f64) -> Duration {
         Duration::from_secs_f64(match self {
             Scale::Smoke => smoke,
@@ -292,6 +306,14 @@ impl Scale {
         }
     }
 }
+
+/// Samples a job asks for when its client scripts a cancel, in place of
+/// the scenario's [`samples_per_job`](Scenario::samples_per_job). A
+/// preset-sized job ends about half a millisecond after its first event,
+/// so most `DELETE`s sent after one or two events would lose the race to
+/// the job's end; a job this long is still running when its `DELETE`
+/// lands, so the cancel path runs on every scripted cancel.
+pub const CANCELLED_JOB_SAMPLES: usize = 1_000;
 
 /// Default stall profile for the presets' slow readers.
 const PRESET_STALL: StallProfile = StallProfile {
@@ -592,5 +614,14 @@ mod tests {
         let slow = plan.requests.iter().filter(|r| r.stall.is_some()).count();
         assert!(cancels > 0, "churn must script some cancels");
         assert!(slow > 0, "churn must script some slow readers");
+        // A job scripted to be cancelled runs long enough for its DELETE.
+        for r in &plan.requests {
+            let expected = if r.cancel_after_events.is_some() {
+                CANCELLED_JOB_SAMPLES
+            } else {
+                6
+            };
+            assert_eq!(r.samples, expected);
+        }
     }
 }

@@ -158,6 +158,12 @@ impl<N: SocialNetwork> OneLongRunSampler<N> {
         }
     }
 
+    /// Overrides the starting node (the walk's position before burn-in).
+    pub fn with_start(mut self, start: NodeId) -> Self {
+        self.current = start;
+        self
+    }
+
     /// Steps spent in the initial burn-in (0 until the first draw).
     pub fn burn_in_steps(&self) -> usize {
         self.burn_in_steps

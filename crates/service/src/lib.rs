@@ -32,9 +32,10 @@
 //!   the outcome (and in [`ServiceMetricsSnapshot::budget_refunded`]).
 //! * **Shared cache, isolated budgets.** Every job reads through one
 //!   shared, lock-striped `CachedNetwork` — a node any job has paid for is
-//!   free for all — while each request meters its own traffic through a
-//!   job-level `MeteredNetwork` view and enforces its own per-walker budget
-//!   shares. [`ServiceMetricsSnapshot::shared_cache_savings`] quantifies
+//!   free for all — while each walker reads through its own
+//!   `MeteredNetwork` view, which enforces the walker's budget share and
+//!   charges the job's query-cost ledger on first visits, so each request
+//!   still reports what it would have cost alone. [`ServiceMetricsSnapshot::shared_cache_savings`] quantifies
 //!   the win over isolated runs.
 //! * **Reproducibility under co-load.** A request's accepted-sample
 //!   multiset is a pure function of its job (spec, seed, walkers, budget):

@@ -60,11 +60,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wnw_access::cached::CachedNetwork;
-use wnw_access::counter::QueryCounter;
 use wnw_access::interface::{SocialNetwork, ThreadedNetwork};
-use wnw_access::metered::MeteredNetwork;
 use wnw_engine::{history_key_of, HistoryKey, HistoryStore, JobDriver};
-use wnw_graph::NodeId;
 use wnw_runtime::WorkerPool;
 use wnw_telemetry::{TraceEventKind, TraceLog};
 
@@ -211,9 +208,6 @@ pub(crate) struct SchedulerConfig {
 struct ActiveJob {
     id: JobId,
     driver: JobDriver<'static>,
-    /// Job-level metering view over the shared cache: `unique_nodes` is
-    /// what this request would have cost in isolation.
-    job_counter: Arc<QueryCounter>,
     events: Sender<SampleEvent>,
     cancel: Arc<AtomicBool>,
     priority: Priority,
@@ -240,17 +234,17 @@ struct ActiveJob {
 }
 
 impl ActiveJob {
-    /// Measured query cost per completed round (unique nodes this job's
-    /// metered view has paid, averaged over its rounds), floored at one so
-    /// cache-riding jobs cannot divide the weighting by zero. `None` until
-    /// the job has completed a round — a fresh job has no measurement yet
-    /// and keeps its full priority weight.
+    /// Measured query cost per completed round (the job's
+    /// [`query_cost`](JobDriver::query_cost), averaged over its rounds),
+    /// floored at one so cache-riding jobs cannot divide the weighting by
+    /// zero. `None` until the job has completed a round — a fresh job has
+    /// no measurement yet and keeps its full priority weight.
     fn mean_round_cost(&self) -> Option<f64> {
         let rounds = self.driver.rounds();
         if rounds == 0 {
             return None;
         }
-        Some((self.job_counter.stats().unique_nodes as f64 / rounds as f64).max(1.0))
+        Some((self.driver.query_cost() as f64 / rounds as f64).max(1.0))
     }
 
     fn terminal(&self) -> bool {
@@ -304,7 +298,7 @@ impl ActiveJob {
             metrics.on_first_sample(self.submitted_at.elapsed());
             trace.record(self.id.0, TraceEventKind::SamplePublished);
         }
-        let query_cost = self.job_counter.stats().unique_nodes;
+        let query_cost = self.driver.query_cost();
         trace.record(
             self.id.0,
             TraceEventKind::RoundCompleted {
@@ -343,9 +337,6 @@ pub(crate) struct Scheduler<N: ThreadedNetwork + 'static> {
     /// The service's per-job lifecycle trace ring (capacity 0 when tracing
     /// is off — every `record` is then a branch-and-return).
     trace: Arc<TraceLog>,
-    /// The network's seed node (every walker's start), resolved once — the
-    /// start component of every job's [`HistoryKey`].
-    seed_node: NodeId,
     paused: Arc<AtomicBool>,
     rx: Receiver<Submission>,
     rx_open: bool,
@@ -367,7 +358,6 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
         paused: Arc<AtomicBool>,
         rx: Receiver<Submission>,
     ) -> Self {
-        let seed_node = cache.seed_node();
         Scheduler {
             cache,
             metrics,
@@ -375,7 +365,6 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
             pool,
             history,
             trace,
-            seed_node,
             paused,
             rx,
             rx_open: true,
@@ -513,9 +502,9 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
         }
     }
 
-    /// Builds the walker pool of an admitted job over the shared cache,
-    /// behind a fresh job-level metering view (per-request cost isolation
-    /// over pool-wide sharing).
+    /// Builds the walker pool of an admitted job over the shared cache; the
+    /// driver keeps the job's own query-cost ledger (per-request cost
+    /// isolation over pool-wide sharing).
     ///
     /// This is also the **snapshot-on-admit** point of the cross-job
     /// history epoch rule: a job under a reading policy takes its frozen
@@ -524,10 +513,8 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
     /// function of (job, snapshot).
     fn admit(&self, submission: Submission, queue_wait: Duration) -> ActiveJob {
         self.trace.record(submission.id.0, TraceEventKind::Admitted);
-        let job_view = MeteredNetwork::new(Arc::clone(&self.cache));
-        let job_counter = job_view.counter_handle();
         let policy = submission.request.history_policy;
-        let start = submission.request.job.start_node.unwrap_or(self.seed_node);
+        let start = submission.request.job.resolve_start(&*self.cache);
         let key = history_key_of(start, &submission.request.job);
         let read_key = (policy.reads()).then_some(key.as_ref()).flatten();
         let frozen = read_key.and_then(|key| self.history.snapshot(key));
@@ -544,12 +531,15 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
             );
         }
         let seed_history = frozen.map(|frozen| (frozen, submission.request.reuse_correction));
-        let driver = JobDriver::with_seed_history(job_view, &submission.request.job, seed_history);
+        let driver = JobDriver::with_seed_history(
+            Arc::clone(&self.cache),
+            &submission.request.job,
+            seed_history,
+        );
         let deadline = submission.deadline_at();
         ActiveJob {
             id: submission.id,
             driver,
-            job_counter,
             delivered: 0,
             events: submission.events,
             cancel: submission.cancel,
@@ -646,11 +636,11 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
     /// is still evidence future jobs can reuse.
     fn finalize(&self, mut job: ActiveJob) {
         let rounds = job.driver.rounds();
+        let query_cost = job.driver.query_cost();
         let latency = job.submitted_at.elapsed();
         if let Some(key) = job.publish_key {
             if let Some(export) = job.driver.export_shared_history() {
-                self.history
-                    .publish(key, &export, job.job_counter.stats().unique_nodes);
+                self.history.publish(key, &export, query_cost);
             }
         }
         let (reports, panic_payload) = job.driver.finish();
@@ -674,7 +664,7 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
             status,
             samples,
             requested: job.requested,
-            query_cost: job.job_counter.stats().unique_nodes,
+            query_cost,
             budget_consumed,
             budget_refunded: job.budget.map_or(0, |b| b.saturating_sub(budget_consumed)),
             budget_exhausted: reports.iter().any(|r| r.budget_exhausted),

@@ -61,8 +61,9 @@ pub struct ProgressUpdate {
     /// Sum of the walkers' own unique-node charges (what budget enforcement
     /// sees).
     pub budget_consumed: u64,
-    /// Distinct nodes this *job* touched, through its job-level metering
-    /// view — the cost an isolated run would have paid.
+    /// Distinct nodes this *job* touched, counted once across its walkers
+    /// ([`JobDriver::query_cost`](wnw_engine::JobDriver::query_cost)) — the
+    /// cost an isolated run would have paid.
     pub query_cost: u64,
     /// Service-wide shared-cache counters at this instant.
     pub pool: QueryStats,
@@ -110,8 +111,8 @@ pub struct JobOutcome {
     pub samples: usize,
     /// Samples the request asked for.
     pub requested: usize,
-    /// Distinct nodes the job touched through its own metering view — what
-    /// the same request would have cost run in isolation. The service-wide
+    /// Distinct nodes the job touched, counted once across its walkers —
+    /// what the same request would have cost run in isolation. The service-wide
     /// pool typically paid less (shared cache).
     pub query_cost: u64,
     /// Sum of the walkers' unique-node charges (budget accounting).

@@ -29,11 +29,7 @@
 use walk_not_wait::loadgen::{chaos_suite_json, run_chaos_suite, write_report, Scale};
 
 fn main() {
-    let scale = if std::env::var_os("WNW_BENCH_SMOKE").is_some() {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
+    let scale = Scale::from_env();
 
     println!("replaying the chaos scenario at {scale:?} scale...\n");
     let (report, evidence) = match run_chaos_suite(scale) {
@@ -78,17 +74,11 @@ fn main() {
         pass(evidence.breaker_recovered()),
     );
 
-    match write_report(
+    write_report(
         scale,
         "BENCH_fault_resilience.json",
         &chaos_suite_json(scale, &report, &evidence),
-    ) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(err) => {
-            eprintln!("could not write BENCH_fault_resilience.json: {err}");
-            std::process::exit(1);
-        }
-    }
+    );
 
     if !report.slo.pass || !evidence.retries_within_policy() || !evidence.breaker_recovered() {
         eprintln!("chaos run missed its resilience objectives");

@@ -125,7 +125,7 @@ fn main() {
         metrics.mean_latency.as_secs_f64() * 1e3,
     );
 
-    // The per-job views must agree with the isolated baseline, and the
+    // The per-job costs must agree with the isolated baseline, and the
     // shared cache must have made the aggregate strictly cheaper.
     let per_job_total: u64 = outcomes.iter().map(|(_, o)| o.query_cost).sum();
     assert_eq!(

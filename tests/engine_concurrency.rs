@@ -3,7 +3,7 @@
 //! shared cache under contention.
 
 use std::sync::Arc;
-use walk_not_wait::access::QueryStats;
+use walk_not_wait::access::{QueryCounter, QueryStats};
 use walk_not_wait::graph::generators::random::barabasi_albert;
 use walk_not_wait::graph::NodeId;
 use walk_not_wait::prelude::*;
@@ -93,18 +93,20 @@ fn cache_stress_unique_nodes_is_exact() {
     assert_eq!(cache.inner().query_stats().api_calls, n as u64);
 }
 
-/// Per-walker metered views over one cache stay exact under contention.
+/// Per-walker metered views over one cache stay exact under contention,
+/// and so does the one job ledger they all charge.
 #[test]
 fn metered_views_stay_exact_under_contention() {
     let n = 500usize;
     let network = osn(n, 13);
     let cache = CachedNetwork::new(network);
+    let ledger = Arc::new(QueryCounter::unlimited());
     let per_walker: Vec<QueryStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8usize)
             .map(|walker| {
-                let cache = &cache;
+                let (cache, ledger) = (&cache, Arc::clone(&ledger));
                 scope.spawn(move || {
-                    let view = MeteredNetwork::new(cache);
+                    let view = MeteredNetwork::new(cache, ledger);
                     for i in 0..n {
                         let v = NodeId(((i + walker * 61) % n) as u32);
                         view.neighbors(v).unwrap();
@@ -120,4 +122,6 @@ fn metered_views_stay_exact_under_contention() {
         assert_eq!(stats.api_calls, n as u64);
     }
     assert_eq!(cache.query_stats().unique_nodes, n as u64);
+    // Every view visited every node: the union is the graph, counted once.
+    assert_eq!(ledger.query_cost(), n as u64);
 }
