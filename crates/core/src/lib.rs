@@ -53,7 +53,6 @@ pub mod config;
 pub mod estimate;
 pub mod history;
 pub mod ideal;
-pub mod long_run;
 pub mod sampler;
 pub mod walk;
 
@@ -64,6 +63,5 @@ pub use history::{
     OverlayHistory, ReuseCorrection, SharedWalkHistory, WalkHistory,
 };
 pub use ideal::IdealWalkAnalysis;
-pub use long_run::WalkEstimateLongRunSampler;
 pub use sampler::WalkEstimateSampler;
 pub use walk::WalkLengthPolicy;

@@ -251,10 +251,9 @@ impl<'a> JobDriver<'a> {
     }
 
     /// Visits every sample produced since the last call (walker order, then
-    /// production order within a walker) — the single streaming-delivery
-    /// primitive shared by [`Engine::run_observed`](crate::Engine::run_observed)
-    /// and the `wnw-service` scheduler, so the delivered-watermark invariant
-    /// lives in one place.
+    /// production order within a walker) — the streaming-delivery primitive
+    /// of the `wnw-service` scheduler, which keeps the delivered watermark
+    /// here, next to the samples it indexes.
     pub fn drain_new_samples(&mut self, mut visit: impl FnMut(usize, &SampleRecord)) {
         for state in &mut self.walkers {
             for record in &state.produced[state.streamed..] {
@@ -441,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn rebased_jobs_complete_and_stay_deterministic() {
+    fn a_job_with_a_start_node_is_deterministic() {
         let osn = SimulatedOsn::new(barabasi_albert(200, 3, 1).unwrap());
         let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 6, 5)
             .with_walkers(2)

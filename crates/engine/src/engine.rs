@@ -29,14 +29,12 @@
 //!
 //! The accepted-sample multiset is therefore identical at 1, 2, or 64
 //! threads — only the wall-clock changes. The round loop itself lives in
-//! [`JobDriver`] so the multi-job scheduler of
-//! `wnw-service` can interleave rounds of many jobs over one pool;
-//! [`Engine::run_observed`] adds per-round progress hooks and a cooperative
-//! cancellation check on top (see [`EngineObserver`]).
+//! [`JobDriver`] so the multi-job scheduler of `wnw-service` can interleave
+//! rounds of many jobs over one pool; that scheduler, not the engine, owns
+//! per-round telemetry, sample streaming and cancellation.
 
 use crate::driver::JobDriver;
 use crate::job::SampleJob;
-use crate::observer::{EngineObserver, NoopObserver, RoundProgress};
 use crate::report::JobReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,41 +100,12 @@ impl Engine {
     /// walker normally) abort the job and are returned — deterministically,
     /// the fatal error of the lowest-numbered failing walker.
     pub fn run<N: ThreadedNetwork>(&self, network: &N, job: &SampleJob) -> Result<JobReport> {
-        self.run_observed(network, job, &mut NoopObserver)
-    }
-
-    /// Like [`run`](Self::run), with job-level hooks: `observer` receives
-    /// every accepted sample and a consistent progress snapshot per round,
-    /// and can stop the job at the next round boundary by returning `true`
-    /// from [`cancel_requested`](EngineObserver::cancel_requested) — the
-    /// partial report then comes back with
-    /// [`cancelled`](JobReport::cancelled) set.
-    pub fn run_observed<N: ThreadedNetwork>(
-        &self,
-        network: &N,
-        job: &SampleJob,
-        observer: &mut dyn EngineObserver,
-    ) -> Result<JobReport> {
         let started = Instant::now();
         let cache = CachedNetwork::new(network);
         let threads = self.pool.width().min(job.walkers.max(1));
         let mut driver = JobDriver::new(&cache, job);
-        let mut cancelled = false;
         while !driver.is_done() && !driver.poisoned() {
-            if observer.cancel_requested() {
-                cancelled = true;
-                break;
-            }
             driver.step_round(&self.pool);
-            driver.drain_new_samples(|walker, record| observer.on_sample(walker, record));
-            observer.on_round(&RoundProgress {
-                rounds: driver.rounds(),
-                live_walkers: driver.live_walkers(),
-                samples: driver.samples_collected(),
-                requested: driver.requested(),
-                budget_consumed: driver.budget_consumed(),
-                pool: wnw_access::SocialNetwork::query_stats(&cache),
-            });
         }
 
         let (walkers, panic_payload) = driver.finish();
@@ -163,7 +132,6 @@ impl Engine {
             pool_stats: wnw_access::SocialNetwork::query_stats(&cache),
             elapsed: started.elapsed(),
             threads,
-            cancelled,
             degraded,
         })
     }

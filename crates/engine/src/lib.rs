@@ -47,7 +47,6 @@
 pub mod driver;
 pub mod engine;
 pub mod job;
-pub mod observer;
 pub mod parallel;
 pub mod report;
 pub mod reuse;
@@ -55,7 +54,6 @@ pub mod reuse;
 pub use driver::JobDriver;
 pub use engine::Engine;
 pub use job::{HistoryMode, SampleJob, SamplerSpec};
-pub use observer::{EngineObserver, NoopObserver, RoundProgress, TelemetryObserver};
 pub use parallel::scatter_map;
 pub use report::{JobReport, WalkerReport};
 pub use reuse::{history_key_of, HistoryPolicy};
@@ -284,86 +282,6 @@ mod tests {
             message.contains("network exploded"),
             "unexpected payload: {message}"
         );
-    }
-
-    #[test]
-    fn observer_sees_every_sample_and_monotone_progress() {
-        #[derive(Default)]
-        struct Recording {
-            samples: Vec<(usize, wnw_mcmc::sampler::SampleRecord)>,
-            progress: Vec<RoundProgress>,
-        }
-        impl EngineObserver for Recording {
-            fn on_sample(&mut self, walker: usize, record: &wnw_mcmc::sampler::SampleRecord) {
-                self.samples.push((walker, *record));
-            }
-            fn on_round(&mut self, progress: &RoundProgress) {
-                self.progress.push(*progress);
-            }
-        }
-
-        let osn = osn(300, 41);
-        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 15, 9)
-            .with_walkers(4)
-            .with_diameter_estimate(4);
-        let mut observer = Recording::default();
-        let report = Engine::with_threads(2)
-            .run_observed(&osn, &job, &mut observer)
-            .unwrap();
-        assert!(!report.cancelled);
-        // Every accepted sample was streamed, none twice.
-        assert_eq!(observer.samples.len(), report.len());
-        let mut streamed: Vec<_> = observer.samples.iter().map(|(_, r)| r.node).collect();
-        streamed.sort_unstable();
-        assert_eq!(streamed, report.sorted_nodes());
-        // Progress snapshots are monotone and end at the report totals.
-        for pair in observer.progress.windows(2) {
-            assert!(pair[1].samples >= pair[0].samples);
-            assert!(pair[1].rounds == pair[0].rounds + 1);
-            assert!(pair[1].budget_consumed >= pair[0].budget_consumed);
-            assert!(pair[1].pool.unique_nodes >= pair[0].pool.unique_nodes);
-        }
-        let last = observer.progress.last().unwrap();
-        assert_eq!(last.samples, report.len());
-        assert_eq!(last.requested, 15);
-        assert_eq!(last.live_walkers, 0);
-        assert_eq!(last.pool, report.pool_stats);
-        assert_eq!(last.budget_consumed, report.uncached_query_cost());
-        assert!((0.0..=1.0).contains(&last.cache_hit_rate()));
-    }
-
-    #[test]
-    fn cancellation_stops_at_a_round_boundary() {
-        struct CancelAfter {
-            rounds_seen: usize,
-            limit: usize,
-        }
-        impl EngineObserver for CancelAfter {
-            fn on_round(&mut self, _progress: &RoundProgress) {
-                self.rounds_seen += 1;
-            }
-            fn cancel_requested(&mut self) -> bool {
-                self.rounds_seen >= self.limit
-            }
-        }
-
-        let osn = osn(300, 43);
-        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 400, 11)
-            .with_walkers(4)
-            .with_diameter_estimate(4);
-        let mut observer = CancelAfter {
-            rounds_seen: 0,
-            limit: 2,
-        };
-        let report = Engine::with_threads(2)
-            .run_observed(&osn, &job, &mut observer)
-            .unwrap();
-        assert!(report.cancelled);
-        // 4 walkers × 2 rounds: at most 8 samples landed before the stop,
-        // and the partial results are kept.
-        assert!(report.len() <= 8, "got {} samples", report.len());
-        assert!(!report.is_empty());
-        assert_eq!(observer.rounds_seen, 2);
     }
 
     #[test]

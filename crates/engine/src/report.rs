@@ -47,11 +47,6 @@ pub struct JobReport {
     pub elapsed: Duration,
     /// OS threads the engine actually used.
     pub threads: usize,
-    /// Whether the job was stopped early by a cooperative cancellation
-    /// request (see
-    /// [`EngineObserver::cancel_requested`](crate::EngineObserver::cancel_requested)).
-    /// Samples accepted before the stop are kept.
-    pub cancelled: bool,
     /// Whether any walker was stopped by a degradation (transient fault,
     /// exhausted retries, open breaker) rather than finishing cleanly. The
     /// samples collected before the fault are kept — the job is a

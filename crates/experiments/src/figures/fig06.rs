@@ -33,10 +33,7 @@ pub fn run(scale: ExperimentScale) -> FigureResult {
     let dataset = registry.google_plus();
     let budgets = registry.query_budget_grid(dataset.graph.node_count());
     let repetitions = scale.repetitions();
-    // Each repetition runs through the pooled engine: two virtual walkers
-    // over one shared cache, the repetition's budget split between them at
-    // the job level (same semantics for the baselines and for WE).
-    let bench = Workbench::new(dataset.graph, google_plus_config()).with_pooled_walkers(2);
+    let bench = Workbench::new(dataset.graph, google_plus_config());
 
     let mut result = FigureResult::new(
         "fig06",

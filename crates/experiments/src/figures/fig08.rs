@@ -31,10 +31,7 @@ pub fn run(scale: ExperimentScale) -> FigureResult {
     let config = WalkEstimateConfig::default()
         .with_walk_length(WalkLengthPolicy::default())
         .with_crawl_depth(crawl_depth);
-    // Each repetition runs through the pooled engine: two virtual walkers
-    // over one shared cache, the repetition's budget split between them at
-    // the job level (same semantics for the SRW baseline and for WE).
-    let bench = Workbench::new(dataset.graph, config).with_pooled_walkers(2);
+    let bench = Workbench::new(dataset.graph, config);
 
     let mut result = FigureResult::new(
         "fig08",

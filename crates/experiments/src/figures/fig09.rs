@@ -43,10 +43,7 @@ pub fn run(scale: ExperimentScale) -> FigureResult {
     let dataset = registry.google_plus();
     let budgets = registry.query_budget_grid(dataset.graph.node_count());
     let repetitions = scale.repetitions();
-    // Like fig06–08: each repetition runs through the pooled engine — two
-    // virtual walkers over one shared per-repetition cache, the budget
-    // split between them at the job level — for every ablation variant.
-    let bench = Workbench::new(dataset.graph, google_plus_config()).with_pooled_walkers(2);
+    let bench = Workbench::new(dataset.graph, google_plus_config());
 
     let mut result = FigureResult::new(
         "fig09",

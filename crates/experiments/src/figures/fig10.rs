@@ -19,9 +19,7 @@ pub fn run(scale: ExperimentScale) -> FigureResult {
     let dataset = registry.google_plus();
     let sample_counts = registry.sample_count_grid();
     let repetitions = scale.repetitions();
-    // Each repetition draws its samples through the pooled engine: two
-    // virtual walkers with cooperative history over one shared cache.
-    let bench = Workbench::new(dataset.graph, google_plus_config()).with_pooled_walkers(2);
+    let bench = Workbench::new(dataset.graph, google_plus_config());
 
     let mut result = FigureResult::new(
         "fig10",

@@ -47,9 +47,7 @@ pub fn run(scale: ExperimentScale) -> FigureResult {
     ];
     for n in registry.synthetic_sizes() {
         let graph = registry.synthetic(n);
-        // Pooled engine path for both panels, like fig06–10: two virtual
-        // walkers per repetition over one shared per-repetition cache.
-        let bench = Workbench::new(graph, WalkEstimateConfig::default()).with_pooled_walkers(2);
+        let bench = Workbench::new(graph, WalkEstimateConfig::default());
         let budgets = registry.query_budget_grid(n);
         for kind in samplers {
             let points = error_vs_cost(

@@ -5,12 +5,12 @@
 use crate::measures::Aggregate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wnw_access::{QueryBudget, SimulatedOsn, SocialNetwork};
+use wnw_access::{SimulatedOsn, SocialNetwork};
 use wnw_analytics::aggregates::{estimate_average, relative_error, SampleValue, WeightingScheme};
 use wnw_core::{WalkEstimateConfig, WalkEstimateSampler, WalkEstimateVariant};
 use wnw_graph::{metrics, Graph, NodeId};
 use wnw_mcmc::burn_in::{BurnInConfig, ManyShortRunsSampler, OneLongRunSampler};
-use wnw_mcmc::sampler::{collect_samples, Sampler, SamplerRunSummary};
+use wnw_mcmc::sampler::{collect_samples, Sampler};
 use wnw_mcmc::{RandomWalkKind, TargetDistribution};
 use wnw_runtime::WorkerPool;
 
@@ -162,12 +162,6 @@ pub struct Workbench {
     /// after the first use share the spawned pool. Results are averaged in
     /// repetition order, so they are identical at any pool width.
     pool: OnceLock<Arc<WorkerPool>>,
-    /// When set, [`error_vs_cost`] and [`error_vs_samples`] run each
-    /// repetition through the pooled engine — this many virtual walkers
-    /// over one shared per-repetition cache, budgets split at the job level
-    /// — instead of a single-walker sampler loop. Results stay
-    /// deterministic for a fixed seed (the engine guarantee).
-    pub pooled_walkers: Option<usize>,
 }
 
 impl Workbench {
@@ -186,7 +180,6 @@ impl Workbench {
                 .map(|n| n.get())
                 .unwrap_or(1),
             pool: OnceLock::new(),
-            pooled_walkers: None,
         }
     }
 
@@ -211,39 +204,23 @@ impl Workbench {
             .get_or_init(|| Arc::new(WorkerPool::new(self.width)))
     }
 
-    /// Routes each repetition through the pooled engine with `walkers`
-    /// virtual walkers (cooperative history, shared per-repetition cache).
-    pub fn with_pooled_walkers(mut self, walkers: usize) -> Self {
-        self.pooled_walkers = Some(walkers.max(1));
-        self
-    }
-
-    fn osn(&self, budget: Option<u64>, start: NodeId) -> SimulatedOsn {
-        let mut builder = SimulatedOsn::builder(self.graph.clone()).seed_node(start);
-        if let Some(b) = budget {
-            builder = builder.budget(QueryBudget(b));
-        }
-        builder.build()
+    fn osn(&self, start: NodeId) -> SimulatedOsn {
+        SimulatedOsn::builder(self.graph.clone())
+            .seed_node(start)
+            .build()
     }
 
     fn random_start(&self, rng: &mut StdRng) -> NodeId {
         NodeId::new(rng.gen_range(0..self.graph.node_count()))
     }
 
-    fn samples_to_values(
+    fn sample_values(
         &self,
-        run: &SamplerRunSummary,
+        report: &wnw_engine::JobReport,
         aggregate: &Aggregate,
     ) -> Vec<SampleValue> {
-        self.records_to_values(&run.samples, aggregate)
-    }
-
-    fn records_to_values(
-        &self,
-        samples: &[wnw_mcmc::sampler::SampleRecord],
-        aggregate: &Aggregate,
-    ) -> Vec<SampleValue> {
-        samples
+        report
+            .samples
             .iter()
             .map(|s| SampleValue {
                 node: s.node,
@@ -254,11 +231,15 @@ impl Workbench {
     }
 }
 
-/// One repetition through the pooled engine: `walkers` virtual walkers over
-/// one shared per-repetition cache (cooperative history), an optional query
-/// budget split across the *active* walkers at the job level (see
-/// [`SampleJob::budget_of`](wnw_engine::SampleJob::budget_of) — no share is
-/// stranded on idle walkers, and the shares sum exactly to the budget,
+/// Virtual walkers per repetition of [`error_vs_cost`] and
+/// [`error_vs_samples`].
+const REPETITION_WALKERS: usize = 2;
+
+/// One repetition through the pooled engine: [`REPETITION_WALKERS`] virtual
+/// walkers over one shared per-repetition cache (cooperative history), an
+/// optional query budget split across the *active* walkers at the job level
+/// (see [`SampleJob::budget_of`](wnw_engine::SampleJob::budget_of) — no share
+/// is stranded on idle walkers, and the shares sum exactly to the budget,
 /// matching the budget semantics every `SamplerKind` gets through
 /// [`SamplerKind::spec`]). Runs on a width-1 (inline, zero-worker) engine
 /// pool so it composes with the repetition-level
@@ -269,17 +250,16 @@ impl Workbench {
 fn pooled_repetition(
     bench: &Workbench,
     kind: SamplerKind,
-    walkers: usize,
     start: NodeId,
     budget: Option<u64>,
     samples: usize,
     seed: u64,
 ) -> wnw_engine::JobReport {
-    let osn = bench.osn(None, start);
+    let osn = bench.osn(start);
     let job = wnw_engine::SampleJob {
         spec: kind.spec(&bench.config),
         samples,
-        walkers: walkers.max(1),
+        walkers: REPETITION_WALKERS,
         seed,
         budget,
         history: wnw_engine::HistoryMode::Cooperative,
@@ -305,7 +285,9 @@ pub struct ErrorVsCostPoint {
 }
 
 /// Runs `kind` against each budget and reports the averaged relative error of
-/// `aggregate` (the building block of Figures 6–8, 9, 11a).
+/// `aggregate` (the building block of Figures 6–8, 9, 11a). Each repetition
+/// is one two-walker engine job whose query cost is the pool's unique-node
+/// count.
 pub fn error_vs_cost(
     bench: &Workbench,
     kind: SamplerKind,
@@ -327,38 +309,17 @@ pub fn error_vs_cost(
                 .collect();
             let outcomes = wnw_engine::scatter_map(bench.pool(), starts, |rep, start| {
                 let seed = base_seed ^ (rep as u64) << 8 ^ budget;
-                if let Some(walkers) = bench.pooled_walkers {
-                    // Pooled path: the budget is enforced as per-walker
-                    // shares inside the engine, the x-axis cost is the
-                    // pool's unique-node count (each node charged once,
-                    // however many walkers touched it).
-                    let report = pooled_repetition(
-                        bench,
-                        kind,
-                        walkers,
-                        start,
-                        Some(budget),
-                        usize::MAX >> 1,
-                        seed,
-                    );
-                    let values = bench.records_to_values(&report.samples, aggregate);
-                    let estimate = estimate_average(&values, kind.weighting());
-                    return (
-                        relative_error(estimate, truth),
-                        report.query_cost() as f64,
-                        report.len() as f64,
-                    );
-                }
-                let osn = bench.osn(Some(budget), start);
-                let mut sampler = kind.build(osn.clone(), bench.diameter, &bench.config, seed);
-                let run = collect_samples(sampler.as_mut(), usize::MAX >> 1)
-                    .expect("budget exhaustion is handled internally");
-                let values = bench.samples_to_values(&run, aggregate);
+                // The budget is enforced as per-walker shares inside the
+                // engine; the x-axis cost is the pool's unique-node count
+                // (each node charged once, however many walkers touched it).
+                let report =
+                    pooled_repetition(bench, kind, start, Some(budget), usize::MAX >> 1, seed);
+                let values = bench.sample_values(&report, aggregate);
                 let estimate = estimate_average(&values, kind.weighting());
                 (
                     relative_error(estimate, truth),
-                    osn.query_cost() as f64,
-                    run.len() as f64,
+                    report.query_cost() as f64,
+                    report.len() as f64,
                 )
             });
             let mut err_sum = 0.0;
@@ -391,7 +352,8 @@ pub struct ErrorVsSamplesPoint {
 }
 
 /// Runs `kind` until it has produced each sample count and reports the
-/// averaged relative error (Figures 10, 11b).
+/// averaged relative error (Figures 10, 11b). Each repetition is one
+/// two-walker engine job, as in [`error_vs_cost`].
 pub fn error_vs_samples(
     bench: &Workbench,
     kind: SamplerKind,
@@ -410,19 +372,10 @@ pub fn error_vs_samples(
                 .collect();
             let outcomes = wnw_engine::scatter_map(bench.pool(), starts, |rep, start| {
                 let seed = base_seed ^ (rep as u64) << 8 ^ count as u64;
-                if let Some(walkers) = bench.pooled_walkers {
-                    let report = pooled_repetition(bench, kind, walkers, start, None, count, seed);
-                    let values = bench.records_to_values(&report.samples, aggregate);
-                    let estimate = estimate_average(&values, kind.weighting());
-                    return (relative_error(estimate, truth), report.query_cost() as f64);
-                }
-                let osn = bench.osn(None, start);
-                let mut sampler = kind.build(osn.clone(), bench.diameter, &bench.config, seed);
-                let run = collect_samples(sampler.as_mut(), count)
-                    .expect("unlimited budget cannot be exhausted");
-                let values = bench.samples_to_values(&run, aggregate);
+                let report = pooled_repetition(bench, kind, start, None, count, seed);
+                let values = bench.sample_values(&report, aggregate);
                 let estimate = estimate_average(&values, kind.weighting());
-                (relative_error(estimate, truth), osn.query_cost() as f64)
+                (relative_error(estimate, truth), report.query_cost() as f64)
             });
             let mut err_sum = 0.0;
             let mut cost_sum = 0.0;
@@ -453,7 +406,7 @@ pub fn api_calls_per_sample(
         .map(|_| bench.random_start(&mut rng))
         .collect();
     let per_rep = wnw_engine::scatter_map(bench.pool(), starts, |rep, start| {
-        let osn = bench.osn(None, start);
+        let osn = bench.osn(start);
         let mut sampler = kind.build(
             osn.clone(),
             bench.diameter,
@@ -470,37 +423,10 @@ pub fn api_calls_per_sample(
 /// Draws `count` samples and returns the sampled node ids (used by the
 /// exact-bias study of Figure 12 / Table 1).
 pub fn draw_nodes(bench: &Workbench, kind: SamplerKind, count: usize, seed: u64) -> Vec<NodeId> {
-    let osn = bench.osn(None, NodeId(0));
+    let osn = bench.osn(NodeId(0));
     let mut sampler = kind.build(osn, bench.diameter, &bench.config, seed);
     let run = collect_samples(sampler.as_mut(), count).expect("unlimited budget");
     run.nodes()
-}
-
-/// Draws `count` samples through the concurrent engine: a pool of `walkers`
-/// virtual walkers over one shared cache, run on the workbench's own
-/// persistent worker pool. Deterministic for a fixed seed at any pool width.
-pub fn pooled_draw_nodes(
-    bench: &Workbench,
-    kind: SamplerKind,
-    count: usize,
-    walkers: usize,
-    seed: u64,
-) -> Vec<NodeId> {
-    let osn = bench.osn(None, NodeId(0));
-    let job = wnw_engine::SampleJob {
-        spec: kind.spec(&bench.config),
-        samples: count,
-        walkers: walkers.max(1),
-        seed,
-        budget: None,
-        history: wnw_engine::HistoryMode::Cooperative,
-        diameter_estimate: Some(bench.diameter),
-        start_node: None,
-    };
-    let report = wnw_engine::Engine::with_pool(Arc::clone(bench.pool()))
-        .run(&osn, &job)
-        .expect("unlimited budget");
-    report.nodes()
 }
 
 #[cfg(test)]
@@ -598,22 +524,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_draw_nodes_is_thread_count_invariant() {
-        let bench = bench();
-        let kind = SamplerKind::WalkEstimate {
-            input: RandomWalkKind::Simple,
-            variant: WalkEstimateVariant::Full,
-        };
-        let sequential = pooled_draw_nodes(&bench.clone().with_threads(1), kind, 9, 3, 23);
-        let parallel = pooled_draw_nodes(&bench.clone().with_threads(8), kind, 9, 3, 23);
-        assert_eq!(sequential.len(), 9);
-        assert_eq!(sequential, parallel);
-        assert!(sequential.iter().all(|&v| bench.graph.contains(v)));
-    }
-
-    #[test]
     fn pooled_error_vs_cost_respects_budgets_and_is_invariant() {
-        let bench = bench().with_pooled_walkers(2);
+        let bench = bench();
         for kind in [
             SamplerKind::Srw,
             SamplerKind::WalkEstimate {
@@ -660,7 +572,7 @@ mod tests {
 
     #[test]
     fn pooled_error_vs_samples_reaches_requested_counts() {
-        let bench = bench().with_pooled_walkers(2);
+        let bench = bench();
         let points = error_vs_samples(
             &bench,
             SamplerKind::WalkEstimate {

@@ -815,6 +815,35 @@ mod tests {
     }
 
     #[test]
+    fn oversized_walkers_and_diameters_are_rejected_with_400() {
+        let server = server();
+        let addr = server.local_addr();
+        for (body, field) in [
+            (
+                r#"{"samples": 5, "seed": 1, "walkers": 1000000000000}"#,
+                "walkers",
+            ),
+            (
+                r#"{"samples": 5, "seed": 1, "diameter_estimate": 400}"#,
+                "diameter_estimate",
+            ),
+            (
+                r#"{"samples": 5, "seed": 1, "diameter_estimate": 18446744073709551615}"#,
+                "diameter_estimate",
+            ),
+        ] {
+            let resp = client::post(addr, "/v1/jobs", &json::parse(body).unwrap()).unwrap();
+            assert_eq!(resp.status, 400, "{body}");
+            let error = resp.json().unwrap();
+            let error = error.get("error").unwrap().as_str().unwrap().to_string();
+            assert!(error.contains(field), "{body}: {error}");
+        }
+        let metrics = server.shutdown();
+        assert_eq!(metrics.jobs_rejected, 3);
+        assert_eq!(metrics.jobs_submitted, 0);
+    }
+
+    #[test]
     fn delete_cancels_a_registered_job() {
         let server = server();
         let addr = server.local_addr();

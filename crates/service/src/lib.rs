@@ -185,6 +185,34 @@ mod tests {
         assert_eq!(service.metrics().jobs_submitted, 0);
     }
 
+    #[test]
+    fn oversized_walker_counts_and_diameters_are_rejected() {
+        use crate::service::MAX_WALKERS_PER_JOB;
+        // Paused, so the admitted boundary jobs stay queued and never run.
+        let service = SamplingService::builder(osn(100, 2)).start_paused().build();
+        let invalid = |request: SampleRequest| match service.submit(request) {
+            Err(AdmissionError::Invalid(reason)) => reason,
+            other => panic!("expected an invalid-request rejection, got {other:?}"),
+        };
+        for walkers in [MAX_WALKERS_PER_JOB + 1, usize::MAX] {
+            let request = SampleRequest::new(we_job(5, 1)).job_with(|j| j.walkers = walkers);
+            assert!(invalid(request).contains("walkers"));
+        }
+        for diameter in [100, usize::MAX] {
+            let request = SampleRequest::new(we_job(5, 1).with_diameter_estimate(diameter));
+            assert!(invalid(request).contains("diameter_estimate"));
+        }
+        assert_eq!(service.metrics().jobs_rejected, 4);
+        // The bounds themselves are admitted: `MAX_WALKERS_PER_JOB` walkers,
+        // and a diameter of n - 1.
+        let at_cap = SampleRequest::new(we_job(5, 1)).job_with(|j| j.walkers = MAX_WALKERS_PER_JOB);
+        service.submit(at_cap).unwrap();
+        service
+            .submit(SampleRequest::new(we_job(5, 1).with_diameter_estimate(99)))
+            .unwrap();
+        assert_eq!(service.metrics().jobs_submitted, 2);
+    }
+
     impl SampleRequest {
         fn job_with(mut self, f: impl FnOnce(&mut SampleJob)) -> Self {
             f(&mut self.job);

@@ -18,6 +18,10 @@ use wnw_engine::{HistoryStore, HistoryStoreStats};
 use wnw_runtime::{PoolStats, WorkerPool};
 use wnw_telemetry::{TraceEvent, TraceEventKind, TraceLog, DEFAULT_TRACE_CAPACITY};
 
+/// The most walkers one job may ask for; [`SamplingService::submit`] rejects
+/// a request above it as [`AdmissionError::Invalid`].
+pub(crate) const MAX_WALKERS_PER_JOB: usize = 1_024;
+
 /// Tuning knobs of a [`SamplingService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -262,12 +266,28 @@ impl<N: ThreadedNetwork + 'static> SamplingService<N> {
             self.metrics.on_reject();
             return Err(AdmissionError::Invalid("request has zero walkers"));
         }
+        // The scheduler builds every walker's state at once on admission.
+        if request.job.walkers > MAX_WALKERS_PER_JOB {
+            self.metrics.on_reject();
+            return Err(AdmissionError::Invalid("request asks for too many walkers"));
+        }
         // When the network knows its size, reject out-of-range start nodes
-        // at the door instead of failing the job mid-walk.
-        if let (Some(start), Some(n)) = (request.job.start_node, self.cache.node_count_hint()) {
-            if start.0 as usize >= n {
+        // and impossible diameters (at most n - 1; the forward walk is
+        // `2·D + 1` steps long) at the door instead of failing mid-walk.
+        if let Some(n) = self.cache.node_count_hint() {
+            if request
+                .job
+                .start_node
+                .is_some_and(|start| start.0 as usize >= n)
+            {
                 self.metrics.on_reject();
                 return Err(AdmissionError::Invalid("start_node is not in the network"));
+            }
+            if request.job.diameter_estimate.is_some_and(|d| d >= n) {
+                self.metrics.on_reject();
+                return Err(AdmissionError::Invalid(
+                    "diameter_estimate is not below the network's node count",
+                ));
             }
         }
         // Reserve an in-flight slot atomically — concurrent submitters

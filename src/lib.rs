@@ -84,8 +84,8 @@ pub mod prelude {
         WalkEstimateConfig, WalkEstimateSampler, WalkEstimateVariant, WalkLengthPolicy,
     };
     pub use wnw_engine::{
-        Engine, EngineObserver, HistoryMode, HistoryPolicy, HistoryStore, HistoryStoreStats,
-        JobReport, ReuseCorrection, RoundProgress, SampleJob, SamplerSpec,
+        Engine, HistoryMode, HistoryPolicy, HistoryStore, HistoryStoreStats, JobReport,
+        ReuseCorrection, SampleJob, SamplerSpec,
     };
     pub use wnw_gateway::{GatewayConfig, GatewayServer};
     pub use wnw_graph::{Graph, GraphBuilder, NodeId};

@@ -74,32 +74,37 @@ fn quantiles_track_seeded_heavy_tailed_draws() {
 
 /// One service round-trip: submit `jobs` requests, wait them out, return
 /// the service (so the caller can inspect metrics and traces) plus the ids.
-fn run_jobs(service: &SamplingService<SimulatedOsn>, jobs: usize) -> Vec<u64> {
-    let mut ids = Vec::new();
-    let mut streams = Vec::new();
-    for i in 0..jobs {
-        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 6, 100 + i as u64)
-            .with_walkers(2)
-            .with_diameter_estimate(5);
-        let ticket = service.submit(SampleRequest::new(job)).expect("admitted");
-        ids.push(ticket.id.0);
-        streams.push(ticket.stream);
-    }
-    for stream in streams {
-        let outcome = stream.wait().expect("outcome");
-        assert_eq!(outcome.status, JobStatus::Completed);
-    }
-    ids
+fn run_jobs(service: &SamplingService<SimulatedOsn>, jobs: usize) -> Vec<JobOutcome> {
+    let streams: Vec<_> = (0..jobs)
+        .map(|i| {
+            let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 6, 100 + i as u64)
+                .with_walkers(2)
+                .with_diameter_estimate(5);
+            service
+                .submit(SampleRequest::new(job))
+                .expect("admitted")
+                .stream
+        })
+        .collect();
+    streams
+        .into_iter()
+        .map(|stream| {
+            let outcome = stream.wait().expect("outcome");
+            assert_eq!(outcome.status, JobStatus::Completed);
+            outcome
+        })
+        .collect()
 }
 
 #[test]
 fn service_traces_are_well_formed_and_histograms_fill() {
     let osn = SimulatedOsn::new(barabasi_albert(400, 3, 9).unwrap());
     let service = SamplingService::builder(osn).pool_threads(2).build();
-    let ids = run_jobs(&service, 3);
+    let outcomes = run_jobs(&service, 3);
 
-    for id in &ids {
-        let events = service.trace().events_for(*id);
+    for outcome in &outcomes {
+        let id = outcome.id.0;
+        let events = service.trace().events_for(id);
         assert!(!events.is_empty(), "job {id} left a trace");
         let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
         assert_eq!(
@@ -135,6 +140,21 @@ fn service_traces_are_well_formed_and_histograms_fill() {
             .position(|l| *l == "sample_published")
             .unwrap();
         assert!(first_round < first_sample, "{labels:?}");
+        // One `round_completed` per round the job ran, and their per-round
+        // query deltas add up to the job's query cost.
+        let round_queries: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::RoundCompleted { queries } => Some(queries),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(round_queries.len(), outcome.rounds, "job {id}: {labels:?}");
+        assert_eq!(
+            round_queries.iter().sum::<u64>(),
+            outcome.query_cost,
+            "job {id}: {round_queries:?}"
+        );
     }
 
     let metrics = service.shutdown();
@@ -198,11 +218,11 @@ fn telemetry_off_disables_tracing_and_round_timing() {
         .pool_threads(1)
         .telemetry(false)
         .build();
-    let ids = run_jobs(&service, 2);
+    let outcomes = run_jobs(&service, 2);
     assert!(!service.trace().enabled());
-    for id in &ids {
+    for id in outcomes.iter().map(|o| o.id.0) {
         assert!(
-            service.trace().events_for(*id).is_empty(),
+            service.trace().events_for(id).is_empty(),
             "telemetry off: no trace for job {id}"
         );
     }
