@@ -124,6 +124,10 @@ impl<'a> JobDriver<'a> {
     /// request's samples depend on what else is running (cross-job reuse
     /// goes through immutable [`FrozenHistory`] snapshots instead; see
     /// [`with_seed_history`](Self::with_seed_history)).
+    ///
+    /// # Panics
+    /// Panics on a job that fails [`SampleJob::validate`], as
+    /// [`with_seed_history`](Self::with_seed_history) does.
     pub fn new<C>(cache: C, job: &SampleJob) -> Self
     where
         C: SocialNetwork + Clone + Send + 'a,
@@ -138,6 +142,14 @@ impl<'a> JobDriver<'a> {
     /// snapshot-on-admit epoch rule — so the job's results are a pure
     /// function of (job, snapshot) at any thread count. Ignored for jobs
     /// whose spec or history mode cannot use shared history.
+    ///
+    /// # Panics
+    /// Panics if `job` fails [`SampleJob::validate`] against the cache's
+    /// `node_count_hint`, before any walker state is allocated. Callers
+    /// taking jobs from outside input validate first ([`Engine::run`] and
+    /// the service's admission both do).
+    ///
+    /// [`Engine::run`]: crate::Engine::run
     pub fn with_seed_history<C>(
         cache: C,
         job: &SampleJob,
@@ -146,6 +158,9 @@ impl<'a> JobDriver<'a> {
     where
         C: SocialNetwork + Clone + Send + 'a,
     {
+        if let Err(invalid) = job.validate(cache.node_count_hint()) {
+            panic!("JobDriver given an invalid job: {invalid}");
+        }
         let shared_history = (job.history == HistoryMode::Cooperative
             && job.spec.uses_shared_history())
         .then(SharedWalkHistory::shared);

@@ -34,14 +34,36 @@
 //! per-round telemetry, sample streaming and cancellation.
 
 use crate::driver::JobDriver;
-use crate::job::SampleJob;
+use crate::job::{InvalidJob, SampleJob};
 use crate::report::JobReport;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 use wnw_access::cached::CachedNetwork;
 use wnw_access::interface::ThreadedNetwork;
-use wnw_access::Result;
+use wnw_access::{AccessError, SocialNetwork};
 use wnw_runtime::WorkerPool;
+
+/// Why [`Engine::run`] returned no report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// [`SampleJob::validate`] refused the job; no walker state was built.
+    Invalid(InvalidJob),
+    /// A walker hit a fatal (non-budget) access error: the one of the
+    /// lowest-numbered failing walker.
+    Access(AccessError),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Invalid(invalid) => write!(f, "invalid job: {invalid}"),
+            RunError::Access(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// A handle on a persistent [`WorkerPool`] executing [`SampleJob`]s.
 ///
@@ -96,10 +118,19 @@ impl Engine {
     /// Runs `job` against `network`, layering a shared
     /// [`CachedNetwork`] over it, and merges every walker's output.
     ///
-    /// Errors other than per-walker budget exhaustion (which ends that
-    /// walker normally) abort the job and are returned — deterministically,
-    /// the fatal error of the lowest-numbered failing walker.
-    pub fn run<N: ThreadedNetwork>(&self, network: &N, job: &SampleJob) -> Result<JobReport> {
+    /// A job that fails [`SampleJob::validate`] against the network's
+    /// `node_count_hint` is refused with [`RunError::Invalid`] before any
+    /// walker state is built. Errors other than per-walker budget
+    /// exhaustion (which ends that walker normally) abort the job and are
+    /// returned as [`RunError::Access`] — deterministically, the fatal
+    /// error of the lowest-numbered failing walker.
+    pub fn run<N: ThreadedNetwork>(
+        &self,
+        network: &N,
+        job: &SampleJob,
+    ) -> Result<JobReport, RunError> {
+        job.validate(network.node_count_hint())
+            .map_err(RunError::Invalid)?;
         let started = Instant::now();
         let cache = CachedNetwork::new(network);
         let threads = self.pool.width().min(job.walkers.max(1));
@@ -117,7 +148,7 @@ impl Engine {
         // A fatal (non-budget) error in any walker fails the job.
         for report in &walkers {
             if let Some(err) = &report.fatal {
-                return Err(err.clone());
+                return Err(RunError::Access(err.clone()));
             }
         }
 
@@ -129,7 +160,7 @@ impl Engine {
         Ok(JobReport {
             samples,
             walkers,
-            pool_stats: wnw_access::SocialNetwork::query_stats(&cache),
+            pool_stats: cache.query_stats(),
             elapsed: started.elapsed(),
             threads,
             degraded,

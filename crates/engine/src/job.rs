@@ -9,11 +9,56 @@
 //! OS threads it was built with. The accepted-sample multiset therefore
 //! depends only on the job, never on the thread count.
 
+use std::fmt;
 use wnw_access::SocialNetwork;
 use wnw_core::config::WalkEstimateConfig;
 use wnw_graph::NodeId;
 use wnw_mcmc::burn_in::BurnInConfig;
 use wnw_mcmc::transition::{RandomWalkKind, TargetDistribution};
+
+/// The most walkers one job may ask for. Every walker's state is built at
+/// once when the job starts, so [`SampleJob::validate`] caps the count.
+pub const MAX_WALKERS_PER_JOB: usize = 1_024;
+
+/// Why [`SampleJob::validate`] refused a job: it could never produce work,
+/// or running it would allocate without bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidJob {
+    /// `samples` is zero.
+    ZeroSamples,
+    /// `walkers` is zero.
+    ZeroWalkers,
+    /// `walkers` is above [`MAX_WALKERS_PER_JOB`].
+    TooManyWalkers,
+    /// `start_node` is not a node of the network.
+    StartNodeOutOfRange,
+    /// `diameter_estimate` is not below the network's node count (a
+    /// diameter is at most `n - 1`, and the forward walk is `2·D + 1` steps).
+    DiameterTooLarge,
+}
+
+impl InvalidJob {
+    /// A one-line reason, as the service's admission errors carry it.
+    pub fn reason(self) -> &'static str {
+        match self {
+            InvalidJob::ZeroSamples => "request asks for zero samples",
+            InvalidJob::ZeroWalkers => "request has zero walkers",
+            InvalidJob::TooManyWalkers => "request asks for too many walkers",
+            InvalidJob::StartNodeOutOfRange => "start_node is not in the network",
+            InvalidJob::DiameterTooLarge => {
+                "diameter_estimate is not below the network's node count"
+            }
+        }
+    }
+}
+
+impl fmt::Display for InvalidJob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for InvalidJob {}
 
 /// Which sampler family a job runs in each walker.
 #[derive(Debug, Clone, Copy)]
@@ -221,6 +266,32 @@ impl SampleJob {
         })
     }
 
+    /// Checks the job's sizes before any walker state is built: at least
+    /// one sample and one walker, at most [`MAX_WALKERS_PER_JOB`] walkers,
+    /// and — when the network knows its size (`node_count_hint`, see
+    /// [`SocialNetwork::node_count_hint`]) — a start node inside it and a
+    /// diameter estimate below its node count.
+    pub fn validate(&self, node_count_hint: Option<usize>) -> Result<(), InvalidJob> {
+        if self.samples == 0 {
+            return Err(InvalidJob::ZeroSamples);
+        }
+        if self.walkers == 0 {
+            return Err(InvalidJob::ZeroWalkers);
+        }
+        if self.walkers > MAX_WALKERS_PER_JOB {
+            return Err(InvalidJob::TooManyWalkers);
+        }
+        if let Some(n) = node_count_hint {
+            if self.start_node.is_some_and(|start| start.index() >= n) {
+                return Err(InvalidJob::StartNodeOutOfRange);
+            }
+            if self.diameter_estimate.is_some_and(|d| d >= n) {
+                return Err(InvalidJob::DiameterTooLarge);
+            }
+        }
+        Ok(())
+    }
+
     /// RNG seed of walker `w`.
     pub fn seed_of(&self, walker: usize) -> u64 {
         self.seed ^ walker as u64
@@ -281,6 +352,35 @@ mod tests {
             assert_eq!(job.quota_of(w), 0);
             assert_eq!(job.budget_of(w), Some(0));
         }
+    }
+
+    #[test]
+    fn validate_bounds_sizes_and_ranges() {
+        let job = || SampleJob::walk_estimate(RandomWalkKind::Simple, 5, 1);
+        assert_eq!(job().validate(None), Ok(()));
+        let mut zero = job();
+        zero.samples = 0;
+        assert_eq!(zero.validate(None), Err(InvalidJob::ZeroSamples));
+        let mut idle = job();
+        idle.walkers = 0;
+        assert_eq!(idle.validate(None), Err(InvalidJob::ZeroWalkers));
+        let mut wide = job();
+        wide.walkers = MAX_WALKERS_PER_JOB;
+        assert_eq!(wide.validate(Some(10)), Ok(()));
+        wide.walkers = MAX_WALKERS_PER_JOB + 1;
+        assert_eq!(wide.validate(None), Err(InvalidJob::TooManyWalkers));
+        // Range checks need the network's size; without it they pass.
+        let far = job().with_start_node(NodeId(10)).with_diameter_estimate(10);
+        assert_eq!(far.validate(None), Ok(()));
+        assert_eq!(far.validate(Some(11)), Ok(()));
+        assert_eq!(
+            job().with_start_node(NodeId(10)).validate(Some(10)),
+            Err(InvalidJob::StartNodeOutOfRange)
+        );
+        assert_eq!(
+            job().with_diameter_estimate(usize::MAX).validate(Some(10)),
+            Err(InvalidJob::DiameterTooLarge)
+        );
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod report;
 pub mod reuse;
 
 pub use driver::JobDriver;
-pub use engine::Engine;
-pub use job::{HistoryMode, SampleJob, SamplerSpec};
+pub use engine::{Engine, RunError};
+pub use job::{HistoryMode, InvalidJob, SampleJob, SamplerSpec, MAX_WALKERS_PER_JOB};
 pub use parallel::scatter_map;
 pub use report::{JobReport, WalkerReport};
 pub use reuse::{history_key_of, HistoryPolicy};
@@ -91,6 +91,23 @@ mod tests {
         assert_eq!(per_walker, vec![5, 5, 4, 4, 4]);
         assert!(report.query_cost() > 0);
         assert!(!report.budget_exhausted());
+    }
+
+    #[test]
+    fn invalid_jobs_are_refused_before_any_walker_runs() {
+        let osn = osn(100, 1);
+        let huge = SampleJob::walk_estimate(RandomWalkKind::Simple, 5, 1).with_walkers(usize::MAX);
+        assert_eq!(
+            Engine::with_threads(1).run(&osn, &huge).unwrap_err(),
+            RunError::Invalid(InvalidJob::TooManyWalkers)
+        );
+        let long = SampleJob::walk_estimate(RandomWalkKind::Simple, 5, 1)
+            .with_diameter_estimate(usize::MAX);
+        assert_eq!(
+            Engine::with_threads(1).run(&osn, &long).unwrap_err(),
+            RunError::Invalid(InvalidJob::DiameterTooLarge)
+        );
+        assert_eq!(osn.query_stats().api_calls, 0, "no walker issued a query");
     }
 
     #[test]

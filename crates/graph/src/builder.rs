@@ -1,9 +1,16 @@
 //! Incremental construction of undirected graphs.
 //!
 //! Generators and file loaders accumulate edges into a [`GraphBuilder`],
-//! which deduplicates parallel edges and drops self-loops before freezing the
-//! edge set into the CSR [`Graph`]. The paper's graph model is a
-//! simple undirected graph (Section 2.1), so both choices are deliberate.
+//! which drops self-loops as they arrive and parallel edges when it freezes
+//! the edge set into the CSR [`Graph`]. The paper's graph model is a simple
+//! undirected graph (Section 2.1), so both choices are deliberate.
+//!
+//! The builder keeps each edge once, as two adjacent endpoints in a flat
+//! list. [`GraphBuilder::build`] hands that list to the crate's one CSR
+//! construction path: a counting scatter of every edge into both endpoints'
+//! slots, then a sort and dedup of each node's list. Nothing sorts the edge
+//! list as a whole. `barabasi_albert` feeds its endpoint pool to the same
+//! path directly, since the pool already lists each edge as such a pair.
 
 use crate::graph::Graph;
 use crate::node::NodeId;
@@ -16,8 +23,8 @@ use crate::node::NodeId;
 /// nodes survive.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
-    /// Edges stored with the smaller endpoint first.
-    edges: Vec<(u32, u32)>,
+    /// Edge `i`'s endpoints at `2i` and `2i + 1`, as added.
+    endpoints: Vec<u32>,
     node_count: usize,
 }
 
@@ -30,7 +37,7 @@ impl GraphBuilder {
     /// Creates a builder expecting `nodes` nodes and roughly `edges` edges.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         GraphBuilder {
-            edges: Vec::with_capacity(edges),
+            endpoints: Vec::with_capacity(2 * edges),
             node_count: nodes,
         }
     }
@@ -42,7 +49,7 @@ impl GraphBuilder {
 
     /// Number of (possibly duplicated) edge insertions recorded so far.
     pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
+        self.endpoints.len() / 2
     }
 
     /// Makes sure node `v` exists even if no edge touches it.
@@ -71,8 +78,7 @@ impl GraphBuilder {
         if u == v {
             return self;
         }
-        let (a, b) = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
-        self.edges.push((a, b));
+        self.endpoints.extend([u.0, v.0]);
         self
     }
 
@@ -93,10 +99,8 @@ impl GraphBuilder {
     ///
     /// Parallel edges are removed; the neighbor lists of the resulting graph
     /// are sorted by node id.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        Graph::from_deduped_edges(self.node_count, &self.edges)
+    pub fn build(self) -> Graph {
+        Graph::from_endpoint_pairs(self.node_count, self.endpoints)
     }
 }
 
@@ -155,6 +159,63 @@ mod tests {
         assert_eq!(ga.edge_count(), gb.edge_count());
         for v in ga.nodes() {
             assert_eq!(ga.neighbors(v), gb.neighbors(v));
+        }
+    }
+
+    /// `build` against a naive per-node `BTreeSet` adjacency, on seeded
+    /// random edge lists with repeats in both orientations, self-loops, and
+    /// `ensure_nodes` calls that may leave an isolated tail.
+    #[test]
+    fn build_matches_a_naive_set_adjacency() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let span = rng.gen_range(1..40usize);
+            let mut edges: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..rng.gen_range(0..4 * span) {
+                let edge = match rng.gen_range(0..4u8) {
+                    0 if !edges.is_empty() => {
+                        let (u, v) = edges[rng.gen_range(0..edges.len())];
+                        if rng.gen_bool(0.5) {
+                            (v, u)
+                        } else {
+                            (u, v)
+                        }
+                    }
+                    1 => {
+                        let u = rng.gen_range(0..span) as u32;
+                        (u, u)
+                    }
+                    _ => (rng.gen_range(0..span) as u32, rng.gen_range(0..span) as u32),
+                };
+                edges.push(edge);
+            }
+            let ensured = rng.gen_range(0..span + 5);
+
+            let mut b = GraphBuilder::new();
+            b.extend_edges(edges.iter().copied());
+            b.ensure_nodes(ensured);
+            let g = b.build();
+
+            let nodes = edges
+                .iter()
+                .map(|&(u, v)| u.max(v) as usize + 1)
+                .fold(ensured, usize::max);
+            let mut naive = vec![BTreeSet::new(); nodes];
+            for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+                naive[u as usize].insert(NodeId(v));
+                naive[v as usize].insert(NodeId(u));
+            }
+            assert_eq!(g.node_count(), nodes, "seed {seed}");
+            let listed: usize = naive.iter().map(BTreeSet::len).sum();
+            assert_eq!(g.edge_count(), listed / 2, "seed {seed}");
+            for v in g.nodes() {
+                let expected: Vec<NodeId> = naive[v.index()].iter().copied().collect();
+                assert_eq!(g.neighbors(v), &expected[..], "seed {seed}, node {v}");
+            }
         }
     }
 

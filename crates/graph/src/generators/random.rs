@@ -7,6 +7,13 @@
 //! out the test fixtures, and [`directed_preferential_attachment`] feeds the
 //! Twitter surrogate (directed connections reduced to mutual undirected
 //! edges, Section 2.1).
+//!
+//! Every generator ends in the crate's one CSR construction path: a counting
+//! scatter of the edges into both endpoints' lists, then a per-node sort and
+//! dedup. Most reach it through [`GraphBuilder`]; [`barabasi_albert`] hands
+//! its endpoint pool over by value, because the pool already lists every
+//! edge as an adjacent pair, so the largest graphs are built with one copy
+//! of their edges and no global sort.
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
@@ -57,11 +64,10 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Result<Graph> {
         )));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(n, m * n);
-    b.ensure_nodes(n);
 
-    // `targets` holds one entry per edge endpoint, so sampling uniformly from
-    // it realises degree-proportional (preferential) attachment.
+    // The pool holds one entry per edge endpoint, so sampling uniformly from
+    // it realises degree-proportional (preferential) attachment. It lists
+    // each edge as an adjacent pair, so it is also the CSR build's input.
     let mut endpoint_pool: Vec<u32> = Vec::with_capacity(2 * m * n);
 
     // Seed the process with a clique over the first m + 1 nodes so every
@@ -69,32 +75,30 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Result<Graph> {
     let seed_nodes = m + 1;
     for i in 0..seed_nodes {
         for j in (i + 1)..seed_nodes {
-            b.add_edge(i, j);
-            endpoint_pool.push(i as u32);
-            endpoint_pool.push(j as u32);
+            endpoint_pool.extend([i as u32, j as u32]);
         }
     }
 
-    let mut chosen: HashSet<u32> = HashSet::with_capacity(m * 2);
+    let mut targets: Vec<u32> = Vec::with_capacity(m);
     for v in seed_nodes..n {
-        chosen.clear();
+        targets.clear();
         // Draw m distinct targets by preferential attachment; rejection on
-        // duplicates terminates quickly because m is tiny versus pool size.
-        while chosen.len() < m {
-            let idx = rng.gen_range(0..endpoint_pool.len());
-            chosen.insert(endpoint_pool[idx]);
+        // duplicates terminates quickly because m is tiny versus pool size,
+        // and a linear scan of m ids beats hashing them.
+        while targets.len() < m {
+            let t = endpoint_pool[rng.gen_range(0..endpoint_pool.len())];
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         // Sort the chosen targets so the pool layout (and therefore the whole
         // generated graph) is a deterministic function of the seed.
-        let mut targets: Vec<u32> = chosen.iter().copied().collect();
         targets.sort_unstable();
-        for t in targets {
-            b.add_edge(v, t);
-            endpoint_pool.push(v as u32);
-            endpoint_pool.push(t);
+        for &t in &targets {
+            endpoint_pool.extend([v as u32, t]);
         }
     }
-    Ok(b.build())
+    Ok(Graph::from_endpoint_pairs(n, endpoint_pool))
 }
 
 /// Watts–Strogatz small-world graph: a ring lattice where each node connects
@@ -196,21 +200,19 @@ pub fn directed_preferential_attachment(
             }
         }
     }
-    let mut chosen: HashSet<u32> = HashSet::with_capacity(2 * m_out);
+    let mut followees: Vec<u32> = Vec::with_capacity(m_out);
     for v in seed_nodes..n {
-        chosen.clear();
-        while chosen.len() < m_out {
-            let idx = rng.gen_range(0..popularity_pool.len());
-            let t = popularity_pool[idx];
-            if t as usize != v {
-                chosen.insert(t);
+        followees.clear();
+        while followees.len() < m_out {
+            let t = popularity_pool[rng.gen_range(0..popularity_pool.len())];
+            if t as usize != v && !followees.contains(&t) {
+                followees.push(t);
             }
         }
         // Deterministic ordering of the chosen followees keeps both the
         // reciprocity draws and the pool layout seed-reproducible.
-        let mut followees: Vec<u32> = chosen.iter().copied().collect();
         followees.sort_unstable();
-        for t in followees {
+        for &t in &followees {
             edges.push((v as u32, t));
             popularity_pool.push(t);
             if rng.gen::<f64>() < reciprocity {

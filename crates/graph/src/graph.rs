@@ -6,6 +6,12 @@
 //! single adjacency array, giving contiguous neighbor slices and O(1)
 //! degrees with minimal memory overhead (8 bytes per node + 8 bytes per
 //! undirected edge).
+//!
+//! A graph is built in one of two ways. Generators and edge-list readers go
+//! through a single construction path: a counting scatter of a flat endpoint
+//! list into the two arrays, then a sort and dedup of each node's list (no
+//! global sort of the edges). The catalog loader instead hands over finished
+//! arrays to [`Graph::from_csr_parts`], which checks every invariant.
 
 use crate::attributes::AttributeTable;
 use crate::error::GraphError;
@@ -31,44 +37,67 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph from an already sorted, deduplicated edge list where
-    /// each pair is stored with the smaller endpoint first.
+    /// Builds a graph over `node_count` nodes from a flat endpoint list:
+    /// `endpoints[2i]` and `endpoints[2i + 1]` are the two ends of edge `i`,
+    /// in either orientation, possibly repeated.
     ///
-    /// This is the internal constructor used by
-    /// [`GraphBuilder::build`](crate::GraphBuilder::build).
-    pub(crate) fn from_deduped_edges(node_count: usize, edges: &[(u32, u32)]) -> Self {
-        let mut degrees = vec![0u64; node_count];
-        for &(u, v) in edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
+    /// This is the crate's one CSR construction path, behind
+    /// [`GraphBuilder::build`](crate::GraphBuilder::build) and the
+    /// Barabási–Albert generator's endpoint pool. One pass counts degrees,
+    /// one scatters each edge into both endpoints' slots in list order, and
+    /// a last pass sorts each node's slice and drops repeats while
+    /// compacting the adjacency leftwards. The edge list is never sorted as
+    /// a whole, and `endpoints` is freed as soon as it is scattered.
+    ///
+    /// Callers guarantee every endpoint is below `node_count` and no pair is
+    /// a self-loop.
+    pub(crate) fn from_endpoint_pairs(node_count: usize, endpoints: Vec<u32>) -> Self {
+        debug_assert!(endpoints.len().is_multiple_of(2));
+        // Count degrees into offsets[v + 1]; the running sum then leaves
+        // offsets[v] at the start of v's slots, the cursor the scatter bumps.
+        let mut offsets = vec![0u64; node_count + 1];
+        for &v in &endpoints {
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for &d in &degrees {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u64> = offsets[..node_count].to_vec();
-        let mut adjacency = vec![NodeId(0); acc as usize];
-        for &(u, v) in edges {
-            adjacency[cursor[u as usize] as usize] = NodeId(v);
-            cursor[u as usize] += 1;
-            adjacency[cursor[v as usize] as usize] = NodeId(u);
-            cursor[v as usize] += 1;
-        }
-        // Edges arrive sorted by (min, max); per-node lists built this way are
-        // sorted for the "min" orientation but interleaved for the "max" one,
-        // so sort each slice to guarantee the documented ordering.
         for v in 0..node_count {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            adjacency[lo..hi].sort_unstable();
+            offsets[v + 1] += offsets[v];
         }
+        let mut adjacency = vec![NodeId(0); endpoints.len()];
+        for pair in endpoints.chunks_exact(2) {
+            let (u, v) = (pair[0], pair[1]);
+            debug_assert_ne!(u, v, "self-loop at node {u}");
+            adjacency[offsets[u as usize] as usize] = NodeId(v);
+            offsets[u as usize] += 1;
+            adjacency[offsets[v as usize] as usize] = NodeId(u);
+            offsets[v as usize] += 1;
+        }
+        drop(endpoints);
+        // Each cursor now sits at its node's end, which is the next node's
+        // start. Sort and dedup each slice in node order, writing the
+        // compacted start back over the cursor once it has been read.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for cursor in &mut offsets[..node_count] {
+            let end = *cursor as usize;
+            *cursor = write as u64;
+            adjacency[start..end].sort_unstable();
+            let first = write;
+            for i in start..end {
+                let u = adjacency[i];
+                if write == first || adjacency[write - 1] != u {
+                    adjacency[write] = u;
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[node_count] = write as u64;
+        adjacency.truncate(write);
+        adjacency.shrink_to_fit();
         Graph {
             offsets,
             adjacency,
-            edge_count: edges.len(),
+            edge_count: write / 2,
             attributes: AttributeTable::new(node_count),
         }
     }

@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn oversized_walker_counts_and_diameters_are_rejected() {
-        use crate::service::MAX_WALKERS_PER_JOB;
+        use wnw_engine::MAX_WALKERS_PER_JOB;
         // Paused, so the admitted boundary jobs stay queued and never run.
         let service = SamplingService::builder(osn(100, 2)).start_paused().build();
         let invalid = |request: SampleRequest| match service.submit(request) {

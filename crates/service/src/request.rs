@@ -124,7 +124,8 @@ impl SampleRequest {
 /// Why the service refused a request at the door.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// The request can never produce work (zero samples, zero walkers).
+    /// The job failed [`SampleJob::validate`](wnw_engine::SampleJob::validate):
+    /// it can never produce work, or its sizes are out of bounds.
     Invalid(&'static str),
     /// The service is at its in-flight capacity; retry later.
     Saturated {

@@ -18,10 +18,6 @@ use wnw_engine::{HistoryStore, HistoryStoreStats};
 use wnw_runtime::{PoolStats, WorkerPool};
 use wnw_telemetry::{TraceEvent, TraceEventKind, TraceLog, DEFAULT_TRACE_CAPACITY};
 
-/// The most walkers one job may ask for; [`SamplingService::submit`] rejects
-/// a request above it as [`AdmissionError::Invalid`].
-pub(crate) const MAX_WALKERS_PER_JOB: usize = 1_024;
-
 /// Tuning knobs of a [`SamplingService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -258,37 +254,12 @@ impl<N: ThreadedNetwork + 'static> SamplingService<N> {
     /// stream, and a cancellation handle; the scheduler starts (or queues)
     /// the job immediately.
     pub fn submit(&self, request: SampleRequest) -> Result<JobTicket, AdmissionError> {
-        if request.job.samples == 0 {
+        // Refuse jobs that could never run, or whose walker state (built all
+        // at once on admission) or walk length would be unbounded, at the
+        // door instead of failing mid-walk.
+        if let Err(invalid) = request.job.validate(self.cache.node_count_hint()) {
             self.metrics.on_reject();
-            return Err(AdmissionError::Invalid("request asks for zero samples"));
-        }
-        if request.job.walkers == 0 {
-            self.metrics.on_reject();
-            return Err(AdmissionError::Invalid("request has zero walkers"));
-        }
-        // The scheduler builds every walker's state at once on admission.
-        if request.job.walkers > MAX_WALKERS_PER_JOB {
-            self.metrics.on_reject();
-            return Err(AdmissionError::Invalid("request asks for too many walkers"));
-        }
-        // When the network knows its size, reject out-of-range start nodes
-        // and impossible diameters (at most n - 1; the forward walk is
-        // `2·D + 1` steps long) at the door instead of failing mid-walk.
-        if let Some(n) = self.cache.node_count_hint() {
-            if request
-                .job
-                .start_node
-                .is_some_and(|start| start.0 as usize >= n)
-            {
-                self.metrics.on_reject();
-                return Err(AdmissionError::Invalid("start_node is not in the network"));
-            }
-            if request.job.diameter_estimate.is_some_and(|d| d >= n) {
-                self.metrics.on_reject();
-                return Err(AdmissionError::Invalid(
-                    "diameter_estimate is not below the network's node count",
-                ));
-            }
+            return Err(AdmissionError::Invalid(invalid.reason()));
         }
         // Reserve an in-flight slot atomically — concurrent submitters
         // cannot race past the cap between a check and an increment.
