@@ -59,7 +59,7 @@ impl NodeAttributes {
 /// All attribute columns of a graph, keyed by name.
 ///
 /// A `BTreeMap` keeps iteration deterministic, which keeps experiment output
-/// and cached catalogs byte-for-byte reproducible across runs.
+/// byte-for-byte reproducible across runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttributeTable {
     node_count: usize,

@@ -27,10 +27,6 @@ pub enum GraphError {
         /// Number of nodes in the graph.
         nodes: usize,
     },
-    /// Raw CSR arrays handed to [`Graph::from_csr_parts`](crate::Graph::from_csr_parts)
-    /// do not describe a simple undirected graph (non-monotone offsets,
-    /// an unsorted or duplicate list, a self-loop, a one-sided edge, ...).
-    InvalidCsr(String),
     /// A parse error while reading an edge list.
     Parse {
         /// 1-based line number of the malformed line.
@@ -63,7 +59,6 @@ impl fmt::Display for GraphError {
                 f,
                 "attribute `{name}` has {values} values but the graph has {nodes} nodes"
             ),
-            GraphError::InvalidCsr(detail) => write!(f, "invalid CSR arrays: {detail}"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
@@ -112,9 +107,6 @@ mod tests {
             nodes: 4,
         };
         assert!(e.to_string().contains("stars"));
-
-        let e = GraphError::InvalidCsr("self-loop at node 3".into());
-        assert!(e.to_string().contains("self-loop"));
 
         let e = GraphError::Parse {
             line: 7,

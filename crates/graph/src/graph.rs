@@ -7,11 +7,9 @@
 //! degrees with minimal memory overhead (8 bytes per node + 8 bytes per
 //! undirected edge).
 //!
-//! A graph is built in one of two ways. Generators and edge-list readers go
-//! through a single construction path: a counting scatter of a flat endpoint
-//! list into the two arrays, then a sort and dedup of each node's list (no
-//! global sort of the edges). The catalog loader instead hands over finished
-//! arrays to [`Graph::from_csr_parts`], which checks every invariant.
+//! Generators and edge-list readers all go through a single construction
+//! path: a counting scatter of a flat endpoint list into the two arrays, then
+//! a sort and dedup of each node's list (no global sort of the edges).
 
 use crate::attributes::AttributeTable;
 use crate::error::GraphError;
@@ -21,8 +19,8 @@ use crate::Result;
 /// An immutable, simple, undirected graph in CSR form.
 ///
 /// Construct one through [`GraphBuilder`](crate::GraphBuilder), a generator
-/// in [`generators`](crate::generators), an edge list read by [`io`](crate::io),
-/// or raw arrays checked by [`Graph::from_csr_parts`].
+/// in [`generators`](crate::generators), or an edge list read by
+/// [`io`](crate::io).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `adjacency` for node `v`.
@@ -100,94 +98,6 @@ impl Graph {
             edge_count: write / 2,
             attributes: AttributeTable::new(node_count),
         }
-    }
-
-    /// Reassembles a graph from raw CSR arrays (the on-disk catalog
-    /// loader's entry point) with no attributes. Untrusted input is checked
-    /// against every invariant the accessors rely on, in one sequential
-    /// sweep over `adjacency`:
-    ///
-    /// * `offsets` starts at 0, is monotone, and ends at `adjacency.len()`;
-    /// * each list is strictly increasing (sorted, no duplicates) and holds
-    ///   only in-range ids other than its own node (no self-loops);
-    /// * every edge appears in both endpoints' lists. Entry `u` in `N(v)`
-    ///   adds `h(v, u)` to a wrapping sum when `v < u` and subtracts
-    ///   `h(u, v)` otherwise, so a symmetric adjacency sums to exactly 0
-    ///   and a one-sided edge leaves a nonzero remainder (a 64-bit mixed
-    ///   hash makes an accidental cancellation vanishingly unlikely).
-    pub fn from_csr_parts(offsets: Vec<u64>, adjacency: Vec<NodeId>) -> Result<Self> {
-        let invalid = |detail: String| Err(GraphError::InvalidCsr(detail));
-        let Some((&first, ends)) = offsets.split_first() else {
-            return invalid("offsets array is empty".into());
-        };
-        if first != 0 {
-            return invalid(format!("offsets[0] is {first}, expected 0"));
-        }
-        let mut prev = 0u64;
-        for (v, &end) in ends.iter().enumerate() {
-            if end < prev {
-                return invalid(format!(
-                    "offsets not monotone at node {}: {prev} > {end}",
-                    v + 1
-                ));
-            }
-            prev = end;
-        }
-        if prev != adjacency.len() as u64 {
-            return invalid(format!(
-                "final offset {prev} does not match adjacency length {}",
-                adjacency.len()
-            ));
-        }
-        if !adjacency.len().is_multiple_of(2) {
-            return invalid(format!(
-                "adjacency length {} is odd (each undirected edge must appear twice)",
-                adjacency.len()
-            ));
-        }
-
-        let node_count = ends.len();
-        let mut balance = 0u64;
-        let mut start = 0usize;
-        for (v, &end) in ends.iter().enumerate() {
-            let end = end as usize;
-            let v = v as u32;
-            let mut last: Option<u32> = None;
-            for &NodeId(u) in &adjacency[start..end] {
-                if u as usize >= node_count {
-                    return invalid(format!(
-                        "node {v} lists neighbor {u}, out of range for {node_count} nodes"
-                    ));
-                }
-                if last.is_some_and(|l| l >= u) {
-                    return invalid(format!(
-                        "neighbor list of node {v} is not strictly increasing"
-                    ));
-                }
-                if u == v {
-                    return invalid(format!("self-loop at node {v}"));
-                }
-                balance = if v < u {
-                    balance.wrapping_add(pair_hash(v, u))
-                } else {
-                    balance.wrapping_sub(pair_hash(u, v))
-                };
-                last = Some(u);
-            }
-            start = end;
-        }
-        if balance != 0 {
-            return invalid(
-                "adjacency is not symmetric: some edge is listed by only one endpoint".into(),
-            );
-        }
-
-        Ok(Graph {
-            offsets,
-            edge_count: adjacency.len() / 2,
-            adjacency,
-            attributes: AttributeTable::new(node_count),
-        })
     }
 
     /// Number of nodes `|V|`.
@@ -321,15 +231,6 @@ impl Graph {
     }
 }
 
-/// The edge hash behind [`Graph::from_csr_parts`]'s symmetry check: the
-/// splitmix64 finalizer over the packed pair `(a, b)` with `a < b`.
-fn pair_hash(a: u32, b: u32) -> u64 {
-    let mut z = (u64::from(a) << 32) | u64::from(b);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,39 +255,6 @@ mod tests {
         assert_eq!(g.max_degree(), 2);
         assert_eq!(g.min_degree(), 1);
         assert!((g.average_degree() - 1.5).abs() < 1e-12);
-    }
-
-    fn ids(raw: &[u32]) -> Vec<NodeId> {
-        raw.iter().map(|&u| NodeId(u)).collect()
-    }
-
-    #[test]
-    fn from_csr_parts_roundtrips_a_built_graph() {
-        let g = path4();
-        let rebuilt = Graph::from_csr_parts(g.offsets.clone(), g.adjacency.clone()).unwrap();
-        assert_eq!(rebuilt, g);
-        let empty = Graph::from_csr_parts(vec![0], vec![]).unwrap();
-        assert_eq!(empty, GraphBuilder::new().build());
-    }
-
-    #[test]
-    fn from_csr_parts_rejects_every_broken_invariant() {
-        let invalid = |offsets: Vec<u64>, adjacency: &[u32]| {
-            matches!(
-                Graph::from_csr_parts(offsets, ids(adjacency)),
-                Err(GraphError::InvalidCsr(_))
-            )
-        };
-        assert!(invalid(vec![], &[]));
-        assert!(invalid(vec![1, 2], &[0, 0]));
-        assert!(invalid(vec![0, 2, 1], &[0, 1]));
-        assert!(invalid(vec![0, 4], &[0, 0]));
-        assert!(invalid(vec![0, 1], &[0])); // odd adjacency length
-        assert!(invalid(vec![0, 1, 2], &[0, 7])); // neighbor out of range
-        assert!(invalid(vec![0, 1, 1, 2], &[1, 0])); // one-sided edges
-        assert!(invalid(vec![0, 2, 3, 4], &[2, 1, 0, 0])); // unsorted list
-        assert!(invalid(vec![0, 2, 4], &[1, 1, 0, 0])); // duplicate entry
-        assert!(invalid(vec![0, 1, 3, 4], &[1, 1, 2, 1])); // self-loop at node 1
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Real OSN datasets (SNAP edge lists, crawler output) typically arrive as
 //! whitespace-separated edge lists: one `u v` pair per line, `#`-prefixed
 //! comments allowed, node ids not necessarily dense (they are remapped in
-//! first-seen order). This module reads and writes that format. Caching a
-//! generated graph, attributes included, is the binary `.wnwcat` catalog's
-//! job (`wnw-catalog`).
+//! first-seen order). This module reads and writes that format, the only
+//! on-disk graph format: seeded graphs are regenerated, never stored.
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;

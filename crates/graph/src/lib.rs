@@ -21,8 +21,8 @@
 //!   compute the relative error of sample-based estimates,
 //! * [`attributes`] — per-node attribute storage (e.g. "stars",
 //!   "self-description length") used by the aggregate-estimation experiments,
-//! * [`io`] — plain-text edge lists for dataset interchange (caching a
-//!   graph on disk is the binary catalog's job, in `wnw-catalog`).
+//! * [`io`] — plain-text edge lists for dataset interchange. Seeded graphs
+//!   are never stored: every caller regenerates them from their seeds.
 //!
 //! # Quick example
 //!

@@ -7,6 +7,11 @@
 //! up here, so construction speedups can prove the graphs they build are
 //! unchanged.
 //!
+//! The experiments' attributed surrogates are pinned the same way at their
+//! quick-scale sizes and fixed seeds, with every attribute column folded in
+//! (its name, then the bits of each value): the figures regenerate these
+//! graphs on every run, so these fingerprints are what keeps them fixed.
+//!
 //! The `crawl`-scale case, BA(1M, 5, 1), is `#[ignore]`d because it takes
 //! seconds in a debug build; run it with
 //! `cargo test --release -p wnw-graph -- --ignored`.
@@ -15,6 +20,7 @@ use wnw_graph::generators::random::{
     barabasi_albert, directed_preferential_attachment, erdos_renyi, mutual_undirected,
     watts_strogatz,
 };
+use wnw_graph::generators::surrogate::{google_plus_like, twitter_like, yelp_like};
 use wnw_graph::Graph;
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -24,7 +30,10 @@ fn fold(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// Word-wise FNV-1a over offsets, then neighbor ids, then the edge count.
+/// Word-wise FNV-1a over offsets, then neighbor ids, then the edge count,
+/// then each attribute column in name order: its name's bytes, then
+/// `f64::to_bits` of every value. A graph with no attributes is
+/// fingerprinted by its CSR layout alone.
 fn fingerprint(g: &Graph) -> u64 {
     let mut h = fold(FNV_OFFSET_BASIS, 0);
     let mut end = 0u64;
@@ -37,7 +46,17 @@ fn fingerprint(g: &Graph) -> u64 {
             h = fold(h, u64::from(u.0));
         }
     }
-    fold(h, g.edge_count() as u64)
+    h = fold(h, g.edge_count() as u64);
+    let table = g.attributes();
+    for name in table.names() {
+        h = name.bytes().fold(h, |h, b| fold(h, u64::from(b)));
+        let column = table.column(name).expect("listed column");
+        h = column
+            .as_slice()
+            .iter()
+            .fold(h, |h, x| fold(h, x.to_bits()));
+    }
+    h
 }
 
 /// Word-wise FNV-1a over an ordered directed edge list.
@@ -135,4 +154,25 @@ fn directed_preferential_attachment_5000_4_seed_3() {
         11_981,
         0x9726_fd78_e8f3_8372,
     );
+}
+
+#[test]
+fn google_plus_like_400_seed_0x0601() {
+    let ds = google_plus_like(400, 0x0601).unwrap();
+    assert_eq!(ds.graph.attributes().len(), 1);
+    check(&ds.graph, 400, 2772, 0x3a12_a23b_2b36_f172);
+}
+
+#[test]
+fn yelp_like_500_seed_0x0702() {
+    let ds = yelp_like(500, 0x0702).unwrap();
+    assert_eq!(ds.graph.attributes().len(), 1);
+    check(&ds.graph, 500, 3964, 0xabd3_443d_2d6f_336a);
+}
+
+#[test]
+fn twitter_like_500_seed_0x0803() {
+    let ds = twitter_like(500, 0x0803).unwrap();
+    assert_eq!(ds.graph.attributes().len(), 2);
+    check(&ds.graph, 500, 3265, 0x828f_e068_77e3_77e1);
 }

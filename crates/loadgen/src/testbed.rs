@@ -1,7 +1,5 @@
 //! A self-contained service-under-test: a seeded Barabási–Albert graph
-//! (read through the [`GraphSpec`] catalog cache, so repeat runs load it
-//! instead of regenerating it) behind [`SimulatedOsn`], a
-//! [`SamplingService`], and a loopback
+//! behind [`SimulatedOsn`], a [`SamplingService`], and a loopback
 //! [`GatewayServer`] sized so the *service*, not the harness, is the
 //! bottleneck under the preset scenarios.
 //!
@@ -18,8 +16,8 @@ use wnw_access::{
     FaultInjector, FaultProfile, FaultStats, FaultyNetwork, ResilienceMonitor, ResilienceStats,
     ResilientNetwork, RetryPolicy, SimulatedOsn,
 };
-use wnw_catalog::{GraphModel, GraphSpec};
 use wnw_gateway::{GatewayConfig, GatewayServer};
+use wnw_graph::generators::random::barabasi_albert;
 use wnw_graph::{Graph, NodeId};
 use wnw_service::SamplingService;
 
@@ -29,20 +27,10 @@ const BA_EDGES_PER_NODE: usize = 3;
 /// across scenarios — only the workload varies.
 const GRAPH_SEED: u64 = 0x0517_BEEF;
 
-/// The `nodes`-node testbed graph (spec `loadgen_ba_{nodes}`: BA with
-/// [`BA_EDGES_PER_NODE`] and [`GRAPH_SEED`]), loaded from the catalog
-/// cache or generated and cached on a miss.
+/// The `nodes`-node testbed graph: BA with [`BA_EDGES_PER_NODE`] and
+/// [`GRAPH_SEED`], generated afresh for every testbed.
 fn testbed_graph(nodes: usize) -> io::Result<Graph> {
-    let spec = GraphSpec::new(
-        format!("loadgen_ba_{nodes}"),
-        GraphModel::BarabasiAlbert {
-            m: BA_EDGES_PER_NODE,
-        },
-        nodes,
-        GRAPH_SEED,
-    );
-    spec.load_or_build()
-        .map(|(graph, _)| graph)
+    barabasi_albert(nodes, BA_EDGES_PER_NODE, GRAPH_SEED)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("testbed graph: {e}")))
 }
 

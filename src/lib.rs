@@ -19,7 +19,6 @@
 //! |---|---|---|
 //! | [`graph`] | `wnw-graph` | CSR graph, generators, metrics, I/O |
 //! | [`access`] | `wnw-access` | restricted OSN interface, budgets, rate limits |
-//! | [`catalog`] | `wnw-catalog` | binary on-disk graph catalogs, the seeded `GraphSpec` cache |
 //! | [`mcmc`] | `wnw-mcmc` | SRW/MHRW, convergence, rejection sampling, baselines |
 //! | [`core`] | `wnw-core` | WALK-ESTIMATE (the paper's contribution) |
 //! | [`runtime`] | `wnw-runtime` | persistent round-barrier worker pool (zero-spawn rounds) |
@@ -59,7 +58,6 @@
 
 pub use wnw_access as access;
 pub use wnw_analytics as analytics;
-pub use wnw_catalog as catalog;
 pub use wnw_core as core;
 pub use wnw_engine as engine;
 pub use wnw_experiments as experiments;
@@ -79,7 +77,6 @@ pub mod prelude {
     pub use wnw_analytics::aggregates::{
         estimate_average, relative_error, SampleValue, WeightingScheme,
     };
-    pub use wnw_catalog::GraphSpec;
     pub use wnw_core::{
         WalkEstimateConfig, WalkEstimateSampler, WalkEstimateVariant, WalkLengthPolicy,
     };

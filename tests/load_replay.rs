@@ -1,6 +1,5 @@
 //! Acceptance bar of the `wnw-loadgen` workload-replay harness, at smoke
-//! scale over real loopback sockets, on the testbed graph as the catalog
-//! cache loads it:
+//! scale over real loopback sockets, on the seeded testbed graph:
 //!
 //! * a driven scenario produces a fully populated report — every offered
 //!   request accounted for, client-side latency summaries present, the
