@@ -14,7 +14,15 @@
 //! simple random walks of the default length (21 steps) from one node of a
 //! BA(20 000, 5) graph, most of them published, a few hundred shared and a
 //! few pending. Candidate sets are the neighbor lists of nodes the walks
-//! visited, which is where weighted backward walks go.
+//! visited, which is where weighted backward walks go. Each call writes into
+//! one reused `SelectionBuffers`, as a walker's backward steps do.
+//!
+//! A last line times the whole backward step: `backward_estimate` over the
+//! `Seeded` view, through a warm `MeteredNetwork<&CachedNetwork>` (a service
+//! walker's view), with the default job's initial crawl (`h = 2`) and its
+//! 3 + 2 walks per candidate sharing one `BackwardBuffers`. Candidates are
+//! the end nodes of the live walks. It reports ns per backward step and the
+//! view's lookups (`neighbor_list` calls, `api_calls`) per backward step.
 //!
 //! It prints one line per view and a JSON summary line on stdout; it writes
 //! no file. Set `WNW_BENCH_SMOKE=1` for a fast CI-sized run.
@@ -23,7 +31,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
-use wnw_core::estimate::weighted::selection_distribution;
+use wnw_access::cached::CachedNetwork;
+use wnw_access::counter::QueryCounter;
+use wnw_access::metered::MeteredNetwork;
+use wnw_access::{SimulatedOsn, SocialNetwork};
+use wnw_core::estimate::unbiased::{backward_estimate, BackwardBuffers, BackwardOptions};
+use wnw_core::estimate::weighted::{selection_distribution, SelectionBuffers};
+use wnw_core::estimate::InitialCrawl;
 use wnw_core::{
     HistoryHandle, HistoryKey, HistoryStore, HistoryView, ReuseCorrection, SharedWalkHistory,
     WalkHistory,
@@ -36,6 +50,10 @@ use wnw_mcmc::RandomWalkKind;
 const WALK_STEPS: usize = 21;
 /// The weighted-sampling floor the samplers use.
 const EPSILON: f64 = 0.1;
+/// The default job's initial-crawl depth `h`.
+const CRAWL_DEPTH: usize = 2;
+/// The default job's backward walks per candidate (3 base + 2 refinement).
+const WALKS_PER_CANDIDATE: usize = 5;
 
 fn smoke() -> bool {
     std::env::var_os("WNW_BENCH_SMOKE").is_some()
@@ -68,11 +86,12 @@ fn ns_per_candidate(
     rounds: usize,
 ) -> f64 {
     let candidates: usize = queries.iter().map(|(_, c)| c.len()).sum();
+    let mut buffers = SelectionBuffers::default();
     let mut sink = 0.0;
     let mut pass = || {
         let started = Instant::now();
         for (step, candidates) in queries {
-            sink += selection_distribution(candidates, *step, view, EPSILON)[0];
+            sink += selection_distribution(candidates, *step, view, EPSILON, &mut buffers)[0];
         }
         started.elapsed().as_nanos() as f64 / candidates as f64
     };
@@ -80,6 +99,55 @@ fn ns_per_candidate(
     let mut samples: Vec<f64> = (0..rounds).map(|_| pass()).collect();
     assert!(sink > 0.0, "selection distributions were computed");
     samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Median over `rounds` timed passes of the default job's backward walks
+/// for every candidate, with the lookups the view answered per step:
+/// `(ns per step, lookups per step)`.
+fn backward_step<N: SocialNetwork>(
+    view: &N,
+    history: &dyn HistoryView,
+    crawl: &InitialCrawl,
+    candidates: &[NodeId],
+    rounds: usize,
+) -> (f64, f64) {
+    let options = BackwardOptions {
+        crawl: Some(crawl),
+        weighting: Some((history, EPSILON)),
+    };
+    // Simple-random-walk factors never vanish, so each walk steps back from
+    // `WALK_STEPS` until the crawl answers at `CRAWL_DEPTH`.
+    let steps = (candidates.len() * WALKS_PER_CANDIDATE * (WALK_STEPS - CRAWL_DEPTH)) as f64;
+    let mut buffers = BackwardBuffers::default();
+    let mut sink = 0.0;
+    let mut pass = || {
+        let mut rng = StdRng::seed_from_u64(0xBAC0);
+        let calls = view.query_stats().api_calls;
+        let started = Instant::now();
+        for &node in candidates {
+            buffers.forget_node_list();
+            for _ in 0..WALKS_PER_CANDIDATE {
+                sink += backward_estimate(
+                    view,
+                    RandomWalkKind::Simple,
+                    node,
+                    crawl.start(),
+                    WALK_STEPS,
+                    options,
+                    &mut buffers,
+                    &mut rng,
+                )
+                .expect("unlimited view");
+            }
+        }
+        let ns = started.elapsed().as_nanos() as f64 / steps;
+        (ns, (view.query_stats().api_calls - calls) as f64 / steps)
+    };
+    pass(); // warm: every later pass repeats its walks on cached lists
+    let mut samples: Vec<(f64, f64)> = (0..rounds).map(|_| pass()).collect();
+    assert!(sink > 0.0, "backward estimates were computed");
+    samples.sort_by(|a, b| a.0.total_cmp(&b.0));
     samples[samples.len() / 2]
 }
 
@@ -149,6 +217,14 @@ fn main() {
         ),
         ("Seeded", ns_per_candidate(&seeded.view(), &queries, rounds)),
     ];
+    // The whole backward step over a service walker's view of a warm cache.
+    let cache = CachedNetwork::new(SimulatedOsn::new(graph.clone()));
+    let view = MeteredNetwork::new(&cache, Arc::new(QueryCounter::unlimited()));
+    let crawl = InitialCrawl::build(&view, RandomWalkKind::Simple, start, CRAWL_DEPTH)
+        .expect("unlimited view");
+    let ends: Vec<NodeId> = live.iter().map(|walk| walk[WALK_STEPS]).collect();
+    let (step_ns, step_lookups) = backward_step(&view, &seeded.view(), &crawl, &ends, rounds);
+
     eprintln!(
         "history reads: {} backward steps, {mean_candidates:.1} candidates each",
         queries.len()
@@ -156,10 +232,17 @@ fn main() {
     for (name, ns) in &views {
         eprintln!("  {name:<8} {ns:>8.2} ns/candidate");
     }
-    let fields: Vec<String> = views
+    eprintln!(
+        "backward_estimate (Seeded, warm MeteredNetwork<&CachedNetwork>): {} candidates × {WALKS_PER_CANDIDATE} walks",
+        ends.len()
+    );
+    eprintln!("  {step_ns:>8.1} ns/step  {step_lookups:.3} lookups/step");
+    let mut fields: Vec<String> = views
         .iter()
         .map(|(name, ns)| format!("\"{}_ns_per_candidate\":{ns:.2}", name.to_lowercase()))
         .collect();
+    fields.push(format!("\"backward_ns_per_step\":{step_ns:.1}"));
+    fields.push(format!("\"backward_lookups_per_step\":{step_lookups:.4}"));
     println!(
         "{{\"benchmark\":\"micro_history_reads\",\"smoke\":{},\"mean_candidates\":{mean_candidates:.1},{}}}",
         smoke(),

@@ -8,7 +8,7 @@
 
 use crate::config::{WalkEstimateConfig, WalkEstimateVariant};
 use crate::estimate::crawl::InitialCrawl;
-use crate::estimate::unbiased::{backward_estimate, BackwardOptions};
+use crate::estimate::unbiased::{backward_estimate, BackwardBuffers, BackwardOptions};
 use crate::history::HistoryView;
 use rand::Rng;
 use wnw_access::{Result, SocialNetwork};
@@ -31,7 +31,8 @@ pub struct ProbabilityEstimate {
     pub repetitions: usize,
 }
 
-/// Repeated-estimation engine implementing Algorithm 3.
+/// Repeated-estimation engine implementing Algorithm 3, with the backward
+/// walks' [`BackwardBuffers`] of the walker that owns it.
 #[derive(Debug, Clone)]
 pub struct ProbabilityEstimator {
     kind: RandomWalkKind,
@@ -39,6 +40,7 @@ pub struct ProbabilityEstimator {
     refinement_repetitions: usize,
     epsilon: f64,
     variant: WalkEstimateVariant,
+    buffers: BackwardBuffers,
 }
 
 impl ProbabilityEstimator {
@@ -50,6 +52,7 @@ impl ProbabilityEstimator {
             refinement_repetitions: config.refinement_backward_repetitions,
             epsilon: config.weighted_epsilon,
             variant: config.variant,
+            buffers: BackwardBuffers::default(),
         }
     }
 
@@ -67,7 +70,37 @@ impl ProbabilityEstimator {
             refinement_repetitions,
             epsilon,
             variant,
+            buffers: BackwardBuffers::default(),
         }
+    }
+
+    /// `|N(node)|`, if the last estimate fetched `node`'s list: the
+    /// acceptance step reads the candidate's degree from here before it
+    /// asks the network.
+    pub(crate) fn fetched_degree(&self, node: NodeId) -> Option<usize> {
+        self.buffers.fetched_degree(node)
+    }
+
+    /// One backward estimate of `p_t(node)` through the walker's buffers.
+    fn backward<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        osn: &N,
+        node: NodeId,
+        start: NodeId,
+        t: usize,
+        options: BackwardOptions<'_>,
+        rng: &mut R,
+    ) -> Result<f64> {
+        backward_estimate(
+            osn,
+            self.kind,
+            node,
+            start,
+            t,
+            options,
+            &mut self.buffers,
+            rng,
+        )
     }
 
     fn options<'a>(
@@ -91,9 +124,10 @@ impl ProbabilityEstimator {
 
     /// Estimates `p_t(node)` for a single candidate, spending
     /// `base_repetitions + refinement_repetitions` backward walks on it.
+    /// The walks fetch `node`'s list once between them.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list for Algorithm 3
     pub fn estimate_single<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
-        &self,
+        &mut self,
         osn: &N,
         node: NodeId,
         start: NodeId,
@@ -103,10 +137,11 @@ impl ProbabilityEstimator {
         rng: &mut R,
     ) -> Result<ProbabilityEstimate> {
         let options = self.options(crawl, history);
+        self.buffers.forget_node_list();
         let mut stats = RunningStats::new();
         let total = self.base_repetitions + self.refinement_repetitions;
         for _ in 0..total {
-            let est = backward_estimate(osn, self.kind, node, start, walk_length, options, rng)?;
+            let est = self.backward(osn, node, start, walk_length, options, rng)?;
             stats.push(est);
         }
         Ok(ProbabilityEstimate {
@@ -124,7 +159,7 @@ impl ProbabilityEstimator {
     /// extra walks is handed out with probability proportional to the current
     /// estimation variance of each candidate.
     pub fn estimate_many<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
-        &self,
+        &mut self,
         osn: &N,
         candidates: &[(NodeId, usize)],
         start: NodeId,
@@ -133,10 +168,11 @@ impl ProbabilityEstimator {
         rng: &mut R,
     ) -> Result<Vec<ProbabilityEstimate>> {
         let options = self.options(crawl, history);
+        self.buffers.forget_node_list();
         let mut stats: Vec<RunningStats> = vec![RunningStats::new(); candidates.len()];
         for (i, &(node, t)) in candidates.iter().enumerate() {
             for _ in 0..self.base_repetitions {
-                let est = backward_estimate(osn, self.kind, node, start, t, options, rng)?;
+                let est = self.backward(osn, node, start, t, options, rng)?;
                 stats[i].push(est);
             }
         }
@@ -160,7 +196,7 @@ impl ProbabilityEstimator {
                 chosen
             };
             let (node, t) = candidates[idx];
-            let est = backward_estimate(osn, self.kind, node, start, t, options, rng)?;
+            let est = self.backward(osn, node, start, t, options, rng)?;
             stats[idx].push(est);
         }
         Ok(candidates
@@ -194,7 +230,7 @@ mod tests {
     #[test]
     fn single_estimate_reports_statistics() {
         let (osn, _graph) = setup(3);
-        let estimator = ProbabilityEstimator::new(
+        let mut estimator = ProbabilityEstimator::new(
             RandomWalkKind::Simple,
             10,
             5,
@@ -222,14 +258,14 @@ mod tests {
         let t = 6;
         let target = NodeId(25);
         let crawl = InitialCrawl::build(&osn, RandomWalkKind::Simple, start, 3).unwrap();
-        let plain = ProbabilityEstimator::new(
+        let mut plain = ProbabilityEstimator::new(
             RandomWalkKind::Simple,
             600,
             0,
             0.1,
             WalkEstimateVariant::None,
         );
-        let crawled = ProbabilityEstimator::new(
+        let mut crawled = ProbabilityEstimator::new(
             RandomWalkKind::Simple,
             600,
             0,
@@ -260,7 +296,7 @@ mod tests {
     #[test]
     fn estimate_many_allocates_full_budget() {
         let (osn, _) = setup(7);
-        let estimator =
+        let mut estimator =
             ProbabilityEstimator::new(RandomWalkKind::Simple, 4, 4, 0.1, WalkEstimateVariant::None);
         let mut rng = StdRng::seed_from_u64(13);
         let candidates = vec![(NodeId(5), 5), (NodeId(9), 5), (NodeId(30), 5)];

@@ -24,12 +24,25 @@
 //! For designs with self-loops (MHRW), the candidate set is `N(u) ∪ {u}`
 //! because the walk may also have *stayed* at `u` — the paper's pseudo-code
 //! elides this, but without it the estimator would be biased low for MHRW.
+//!
+//! # Reads and buffers
+//!
+//! A backward step fetches one neighbor list: the chosen predecessor's,
+//! which it needs for the transition probability `T(u', u)` and then
+//! carries into the next step as that step's `N(u)` (an MHRW self-loop
+//! carries `N(u)` itself). The first step of a walk takes the estimated
+//! node's list from the walker's [`BackwardBuffers`]: the first walk of an
+//! attempt fetches it, and the attempt's other walks and its acceptance
+//! step (for the candidate's degree) reuse it. The selection distribution,
+//! MHRW's candidate set `N(u) ∪ {u}` and a self-loop's sampled neighbor
+//! degrees are written into the same [`BackwardBuffers`], so a step
+//! allocates nothing once they have grown to the walker's largest list.
 
 use crate::estimate::crawl::InitialCrawl;
-use crate::estimate::weighted;
+use crate::estimate::weighted::{self, SelectionBuffers};
 use crate::history::HistoryView;
 use rand::Rng;
-use std::borrow::Cow;
+use std::sync::Arc;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
 use wnw_mcmc::RandomWalkKind;
@@ -45,6 +58,51 @@ pub struct BackwardOptions<'a> {
     pub weighting: Option<(&'a dyn HistoryView, f64)>,
 }
 
+/// What one walker keeps across its backward walks: the estimated node's
+/// neighbor list and the buffers of a backward step (see
+/// [Reads and buffers](self#reads-and-buffers)).
+#[derive(Debug, Clone, Default)]
+pub struct BackwardBuffers {
+    /// The estimated node and its neighbor list, once a walk fetched it.
+    node_list: Option<(NodeId, Arc<[NodeId]>)>,
+    selection: SelectionBuffers,
+    with_self: Vec<NodeId>,
+    neighbor_degrees: Vec<usize>,
+}
+
+impl BackwardBuffers {
+    /// Drops the held node list, so the next walk fetches its node's list
+    /// afresh. Called once per attempt.
+    pub fn forget_node_list(&mut self) {
+        self.node_list = None;
+    }
+
+    /// `|N(node)|`, if a walk since the last
+    /// [`forget_node_list`](Self::forget_node_list) fetched `node`'s list.
+    pub(crate) fn fetched_degree(&self, node: NodeId) -> Option<usize> {
+        match &self.node_list {
+            Some((held, list)) if *held == node => Some(list.len()),
+            _ => None,
+        }
+    }
+
+    /// `N(node)`, fetched only if it is not held already.
+    fn node_list<N: SocialNetwork + ?Sized>(
+        &mut self,
+        osn: &N,
+        node: NodeId,
+    ) -> Result<Arc<[NodeId]>> {
+        if let Some((held, list)) = &self.node_list {
+            if *held == node {
+                return Ok(Arc::clone(list));
+            }
+        }
+        let list = osn.neighbor_list(node)?;
+        self.node_list = Some((node, Arc::clone(&list)));
+        Ok(list)
+    }
+}
+
 /// Plain UNBIASED-ESTIMATE (Algorithm 1): uniform backward selection, no
 /// crawl. One invocation produces one unbiased (but high-variance) estimate
 /// of `p_t(node)` for a walk of `t` steps started at `start`.
@@ -56,10 +114,21 @@ pub fn unbiased_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     t: usize,
     rng: &mut R,
 ) -> Result<f64> {
-    backward_estimate(osn, kind, node, start, t, BackwardOptions::default(), rng)
+    backward_estimate(
+        osn,
+        kind,
+        node,
+        start,
+        t,
+        BackwardOptions::default(),
+        &mut BackwardBuffers::default(),
+        rng,
+    )
 }
 
-/// The generalised backward-walk estimator: one estimate of `p_t(node)`.
+/// The generalised backward-walk estimator: one estimate of `p_t(node)`,
+/// reading and reusing the walker's [`BackwardBuffers`].
+#[allow(clippy::too_many_arguments)]
 pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     osn: &N,
     kind: RandomWalkKind,
@@ -67,11 +136,15 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     start: NodeId,
     t: usize,
     options: BackwardOptions<'_>,
+    buffers: &mut BackwardBuffers,
     rng: &mut R,
 ) -> Result<f64> {
     let mut factor = 1.0;
     let mut current = node;
     let mut remaining = t;
+    // N(current), carried from the step that chose `current`; only the
+    // walk's first step has none.
+    let mut carried: Option<Arc<[NodeId]>> = None;
     loop {
         // Early exact termination inside the crawled neighborhood.
         if let Some(crawl) = options.crawl {
@@ -83,7 +156,10 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
             return Ok(if current == start { factor } else { 0.0 });
         }
 
-        let neighbors = osn.neighbor_list(current)?;
+        let neighbors = match carried.take() {
+            Some(list) => list,
+            None => buffers.node_list(osn, current)?,
+        };
         if neighbors.is_empty() {
             // An isolated node can only be reached by starting on it; the
             // walk cannot have arrived here from anywhere else.
@@ -92,25 +168,29 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
         let degree_current = neighbors.len();
 
         // Predecessor candidates: all nodes with T(·, current) > 0. Without
-        // self-loops that is the neighbor list itself, borrowed; only MHRW
-        // builds list + self.
-        let candidates: Cow<'_, [NodeId]> = if kind.has_self_loops() {
-            let mut with_self = Vec::with_capacity(neighbors.len() + 1);
-            with_self.extend_from_slice(&neighbors);
-            with_self.push(current);
-            Cow::Owned(with_self)
+        // self-loops that is the neighbor list itself; only MHRW builds
+        // list + self.
+        let candidates: &[NodeId] = if kind.has_self_loops() {
+            buffers.with_self.clear();
+            buffers.with_self.extend_from_slice(&neighbors);
+            buffers.with_self.push(current);
+            &buffers.with_self
         } else {
-            Cow::Borrowed(&neighbors)
+            &neighbors
         };
 
         // Selection distribution over the candidates.
         let probs = match options.weighting {
-            Some((history, epsilon)) => {
-                weighted::selection_distribution(&candidates, remaining - 1, history, epsilon)
-            }
-            None => vec![1.0 / candidates.len() as f64; candidates.len()],
+            Some((history, epsilon)) => weighted::selection_distribution(
+                candidates,
+                remaining - 1,
+                history,
+                epsilon,
+                &mut buffers.selection,
+            ),
+            None => buffers.selection.uniform(candidates.len()),
         };
-        let choice = sample_index(&probs, rng);
+        let choice = sample_index(probs, rng);
         let previous = candidates[choice];
         let selection_probability = probs[choice];
 
@@ -125,20 +205,18 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
             // product stays unbiased because the sample is independent of
             // everything else in the recursion.
             const SELF_LOOP_NEIGHBOR_SAMPLE: usize = 8;
-            let neighbor_degrees = if neighbors.len() <= SELF_LOOP_NEIGHBOR_SAMPLE {
-                let mut all = Vec::with_capacity(neighbors.len());
+            let neighbor_degrees = &mut buffers.neighbor_degrees;
+            neighbor_degrees.clear();
+            if neighbors.len() <= SELF_LOOP_NEIGHBOR_SAMPLE {
                 for &w in neighbors.iter() {
-                    all.push(osn.degree(w)?);
+                    neighbor_degrees.push(osn.degree(w)?);
                 }
-                all
             } else {
-                let mut sampled = Vec::with_capacity(SELF_LOOP_NEIGHBOR_SAMPLE);
                 for _ in 0..SELF_LOOP_NEIGHBOR_SAMPLE {
                     let idx = rng.gen_range(0..neighbors.len());
-                    sampled.push(osn.degree(neighbors[idx])?);
+                    neighbor_degrees.push(osn.degree(neighbors[idx])?);
                 }
-                sampled
-            };
+            }
             // `self_loop_probability` averages `min(1, d_u/d_w)` over the
             // provided degrees scaled by 1/d_u per entry; rescale the sampled
             // average to the full degree.
@@ -148,12 +226,16 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
                 .sum::<f64>()
                 / neighbor_degrees.len() as f64
                 * degree_current as f64;
+            // The walk stays at `current`: its list is the next step's.
+            carried = Some(neighbors);
             (1.0 - sampled_outgoing).max(0.0)
         } else {
-            let degree_previous = osn.degree(previous)?;
+            let previous_neighbors = osn.neighbor_list(previous)?;
+            let degree_previous = previous_neighbors.len();
             if degree_previous == 0 {
                 return Ok(0.0);
             }
+            carried = Some(previous_neighbors);
             kind.edge_probability(degree_previous, degree_current)
         };
 
@@ -206,13 +288,15 @@ mod tests {
         let osn = SimulatedOsn::new(graph.clone());
         let (crawl, history) = options_builder(&osn);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut buffers = BackwardBuffers::default();
         let mut sum = 0.0;
         for _ in 0..repetitions {
             let options = BackwardOptions {
                 crawl: crawl.as_ref(),
                 weighting: history.as_ref().map(|h| (h as &dyn HistoryView, 0.1)),
             };
-            sum += backward_estimate(&osn, kind, node, start, t, options, &mut rng).unwrap();
+            sum += backward_estimate(&osn, kind, node, start, t, options, &mut buffers, &mut rng)
+                .unwrap();
         }
         let exact = TransitionMatrix::new(graph, kind).distribution_after(start, t)[node.index()];
         (sum / repetitions as f64, exact)
@@ -349,6 +433,7 @@ mod tests {
                     crawl: Some(&crawl),
                     weighting: None,
                 },
+                &mut BackwardBuffers::default(),
                 &mut rng,
             )
             .unwrap();
@@ -431,5 +516,323 @@ mod tests {
         }
         assert!((counts[0] as f64 / 30_000.0 - 0.7).abs() < 0.02);
         assert!((counts[2] as f64 / 30_000.0 - 0.1).abs() < 0.02);
+    }
+
+    /// The estimator as it was before lists were carried and buffers
+    /// reused: every step fetches `N(current)` and then probes
+    /// `degree(previous)`, and allocates its selection distribution. It is
+    /// the oracle the bit-identity tests compare the walker's path with.
+    mod reference {
+        use super::*;
+        use std::borrow::Cow;
+
+        fn selection_distribution(
+            candidates: &[NodeId],
+            step: usize,
+            history: &dyn HistoryView,
+            epsilon: f64,
+        ) -> Vec<f64> {
+            let k = candidates.len();
+            assert!(k > 0, "selection over an empty candidate set");
+            let epsilon = epsilon.clamp(0.0, 1.0);
+            let mut counts = vec![0u64; k];
+            history.add_counts_at(step, candidates, &mut counts);
+            let total: u64 = counts.iter().sum();
+            let mut probs = vec![epsilon / k as f64; k];
+            if total == 0 {
+                for p in &mut probs {
+                    *p += (1.0 - epsilon) / k as f64;
+                }
+            } else {
+                for (p, &c) in probs.iter_mut().zip(&counts) {
+                    *p += (1.0 - epsilon) * c as f64 / total as f64;
+                }
+            }
+            probs
+        }
+
+        pub(super) fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
+            osn: &N,
+            kind: RandomWalkKind,
+            node: NodeId,
+            start: NodeId,
+            t: usize,
+            options: BackwardOptions<'_>,
+            rng: &mut R,
+        ) -> Result<f64> {
+            let mut factor = 1.0;
+            let mut current = node;
+            let mut remaining = t;
+            loop {
+                if let Some(crawl) = options.crawl {
+                    if remaining <= crawl.depth() && crawl.start() == start {
+                        return Ok(factor * crawl.exact_probability(remaining, current));
+                    }
+                }
+                if remaining == 0 {
+                    return Ok(if current == start { factor } else { 0.0 });
+                }
+                let neighbors = osn.neighbor_list(current)?;
+                if neighbors.is_empty() {
+                    return Ok(if current == start { factor } else { 0.0 });
+                }
+                let degree_current = neighbors.len();
+                let candidates: Cow<'_, [NodeId]> = if kind.has_self_loops() {
+                    let mut with_self = Vec::with_capacity(neighbors.len() + 1);
+                    with_self.extend_from_slice(&neighbors);
+                    with_self.push(current);
+                    Cow::Owned(with_self)
+                } else {
+                    Cow::Borrowed(&neighbors)
+                };
+                let probs = match options.weighting {
+                    Some((history, epsilon)) => {
+                        selection_distribution(&candidates, remaining - 1, history, epsilon)
+                    }
+                    None => vec![1.0 / candidates.len() as f64; candidates.len()],
+                };
+                let choice = sample_index(&probs, rng);
+                let previous = candidates[choice];
+                let selection_probability = probs[choice];
+                let transition = if previous == current {
+                    const SELF_LOOP_NEIGHBOR_SAMPLE: usize = 8;
+                    let neighbor_degrees = if neighbors.len() <= SELF_LOOP_NEIGHBOR_SAMPLE {
+                        let mut all = Vec::with_capacity(neighbors.len());
+                        for &w in neighbors.iter() {
+                            all.push(osn.degree(w)?);
+                        }
+                        all
+                    } else {
+                        let mut sampled = Vec::with_capacity(SELF_LOOP_NEIGHBOR_SAMPLE);
+                        for _ in 0..SELF_LOOP_NEIGHBOR_SAMPLE {
+                            let idx = rng.gen_range(0..neighbors.len());
+                            sampled.push(osn.degree(neighbors[idx])?);
+                        }
+                        sampled
+                    };
+                    let sampled_outgoing: f64 = neighbor_degrees
+                        .iter()
+                        .map(|&dw| kind.edge_probability(degree_current, dw))
+                        .sum::<f64>()
+                        / neighbor_degrees.len() as f64
+                        * degree_current as f64;
+                    (1.0 - sampled_outgoing).max(0.0)
+                } else {
+                    let degree_previous = osn.degree(previous)?;
+                    if degree_previous == 0 {
+                        return Ok(0.0);
+                    }
+                    kind.edge_probability(degree_previous, degree_current)
+                };
+                factor *= transition / selection_probability;
+                if factor == 0.0 {
+                    return Ok(0.0);
+                }
+                current = previous;
+                remaining -= 1;
+            }
+        }
+    }
+
+    /// Backward walks per attempt in the default configuration (3 + 2).
+    const WALKS_PER_ATTEMPT: usize = 5;
+
+    /// A history of forward walks of `kind` from `start`, so weighted
+    /// selection has counts to read at every step.
+    fn forward_history(graph: &Graph, kind: RandomWalkKind, start: NodeId) -> WalkHistory {
+        let osn = SimulatedOsn::new(graph.clone());
+        let mut rng = StdRng::seed_from_u64(0x4157);
+        let mut history = WalkHistory::new();
+        for _ in 0..40 {
+            let walk = wnw_mcmc::random_walk(&osn, kind, start, 9, &mut rng).unwrap();
+            history.record_walk(&walk.path);
+        }
+        history
+    }
+
+    /// A metered view over a fresh backend, as a service walker reads.
+    fn metered(graph: &Graph) -> wnw_access::MeteredNetwork<SimulatedOsn> {
+        wnw_access::MeteredNetwork::new(
+            SimulatedOsn::new(graph.clone()),
+            std::sync::Arc::new(wnw_access::QueryCounter::unlimited()),
+        )
+    }
+
+    #[test]
+    fn carried_lists_and_reused_buffers_are_bit_identical_to_the_reference() {
+        let start = NodeId(0);
+        for (graph_seed, kind) in [
+            (0x0B1u64, RandomWalkKind::Simple),
+            (0x0B2, RandomWalkKind::MetropolisHastings),
+        ] {
+            let graph = barabasi_albert(80, 3, graph_seed).unwrap();
+            let crawl =
+                InitialCrawl::build(&SimulatedOsn::new(graph.clone()), kind, start, 2).unwrap();
+            let history = forward_history(&graph, kind, start);
+            for (use_crawl, use_weighting) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let options = BackwardOptions {
+                    crawl: use_crawl.then_some(&crawl),
+                    weighting: use_weighting.then_some((&history as &dyn HistoryView, 0.1)),
+                };
+                for t in [0usize, 1, 2, 5, 9] {
+                    let cell =
+                        format!("{kind:?} crawl={use_crawl} weighting={use_weighting} t={t}");
+                    let (ours, theirs) = (metered(&graph), metered(&graph));
+                    let mut rng_ours = StdRng::seed_from_u64(t as u64 ^ graph_seed);
+                    let mut rng_theirs = rng_ours.clone();
+                    let mut buffers = BackwardBuffers::default();
+                    // Attempts on the start, its neighbors and far nodes.
+                    for candidate in (0..80).step_by(7).map(NodeId) {
+                        // One attempt: the estimate's walks, then the
+                        // acceptance step's degree.
+                        buffers.forget_node_list();
+                        for walk in 0..WALKS_PER_ATTEMPT {
+                            let a = backward_estimate(
+                                &ours,
+                                kind,
+                                candidate,
+                                start,
+                                t,
+                                options,
+                                &mut buffers,
+                                &mut rng_ours,
+                            )
+                            .unwrap();
+                            let b = reference::backward_estimate(
+                                &theirs,
+                                kind,
+                                candidate,
+                                start,
+                                t,
+                                options,
+                                &mut rng_theirs,
+                            )
+                            .unwrap();
+                            assert_eq!(a.to_bits(), b.to_bits(), "{cell} {candidate} walk {walk}");
+                        }
+                        let degree = match buffers.fetched_degree(candidate) {
+                            Some(degree) => degree,
+                            None => ours.degree(candidate).unwrap(),
+                        };
+                        assert_eq!(degree, theirs.degree(candidate).unwrap(), "{cell}");
+                        assert_eq!(
+                            ours.query_stats().unique_nodes,
+                            theirs.query_stats().unique_nodes,
+                            "{cell} {candidate}"
+                        );
+                    }
+                    assert_eq!(rng_ours.gen::<u64>(), rng_theirs.gen::<u64>(), "{cell}");
+                    // The reference asks at least as often; fewer calls is
+                    // the point.
+                    assert!(ours.query_stats().api_calls <= theirs.query_stats().api_calls);
+                }
+            }
+        }
+    }
+
+    /// A network that logs every neighbor-list fetch.
+    struct Logged {
+        inner: SimulatedOsn,
+        fetches: std::cell::RefCell<Vec<NodeId>>,
+    }
+
+    impl SocialNetwork for Logged {
+        fn neighbors(&self, v: NodeId) -> Result<Vec<NodeId>> {
+            Ok(self.neighbor_list(v)?.to_vec())
+        }
+        fn neighbor_list(&self, v: NodeId) -> Result<Arc<[NodeId]>> {
+            self.fetches.borrow_mut().push(v);
+            self.inner.neighbor_list(v)
+        }
+        fn attribute(&self, name: &str, v: NodeId) -> Result<f64> {
+            self.inner.attribute(name, v)
+        }
+        fn seed_node(&self) -> NodeId {
+            self.inner.seed_node()
+        }
+        fn query_stats(&self) -> wnw_access::QueryStats {
+            self.inner.query_stats()
+        }
+        fn reset_counters(&self) {
+            self.inner.reset_counters()
+        }
+    }
+
+    #[test]
+    fn one_fetch_per_backward_step_and_one_per_attempt_for_the_candidate() {
+        // Simple-random-walk factors never vanish, so every walk of length
+        // `t` takes `t − h` steps before the crawl (depth `h`, or none)
+        // answers: one predecessor fetch each, plus the candidate's own
+        // list once per attempt.
+        let graph = barabasi_albert(200, 3, 0x0C0).unwrap();
+        let start = NodeId(0);
+        let crawl = InitialCrawl::build(
+            &SimulatedOsn::new(graph.clone()),
+            RandomWalkKind::Simple,
+            start,
+            2,
+        )
+        .unwrap();
+        let history = forward_history(&graph, RandomWalkKind::Simple, start);
+        let osn = Logged {
+            inner: SimulatedOsn::new(graph),
+            fetches: Default::default(),
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut buffers = BackwardBuffers::default();
+        for (depth, options) in [
+            (0, BackwardOptions::default()),
+            (
+                0,
+                BackwardOptions {
+                    crawl: None,
+                    weighting: Some((&history, 0.1)),
+                },
+            ),
+            (
+                2,
+                BackwardOptions {
+                    crawl: Some(&crawl),
+                    weighting: Some((&history, 0.1)),
+                },
+            ),
+        ] {
+            for t in [1usize, 2, 5, 9] {
+                for candidate in [NodeId(3), NodeId(57), NodeId(150)] {
+                    osn.fetches.borrow_mut().clear();
+                    buffers.forget_node_list();
+                    for _ in 0..WALKS_PER_ATTEMPT {
+                        backward_estimate(
+                            &osn,
+                            RandomWalkKind::Simple,
+                            candidate,
+                            start,
+                            t,
+                            options,
+                            &mut buffers,
+                            &mut rng,
+                        )
+                        .unwrap();
+                    }
+                    let fetches = osn.fetches.borrow();
+                    let steps = t.saturating_sub(depth);
+                    if steps == 0 {
+                        // The crawl answers at once: nothing is fetched, and
+                        // the acceptance step asks for the degree itself.
+                        assert!(fetches.is_empty());
+                        assert_eq!(buffers.fetched_degree(candidate), None);
+                    } else {
+                        assert_eq!(fetches.len(), WALKS_PER_ATTEMPT * steps + 1, "t={t}");
+                        assert_eq!(fetches[0], candidate);
+                        assert_eq!(
+                            buffers.fetched_degree(candidate),
+                            Some(osn.inner.ground_truth().degree(candidate))
+                        );
+                    }
+                }
+            }
+        }
     }
 }

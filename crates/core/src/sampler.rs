@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
-use wnw_mcmc::rejection::acceptance_probability;
+use wnw_mcmc::rejection::{acceptance_probability, ObservedRatios};
 use wnw_mcmc::sampler::{SampleRecord, Sampler};
 use wnw_mcmc::transition::{RandomWalkKind, TargetDistribution};
 use wnw_mcmc::walker;
@@ -44,7 +44,7 @@ pub struct WalkEstimateSampler<N: SocialNetwork> {
     estimator: ProbabilityEstimator,
     crawl: Option<InitialCrawl>,
     history: HistoryHandle,
-    observed_ratios: Vec<f64>,
+    observed_ratios: ObservedRatios,
     rng: StdRng,
     /// Total forward walks performed (accepted + rejected candidates).
     forward_walks: u64,
@@ -66,7 +66,7 @@ impl<N: SocialNetwork> WalkEstimateSampler<N> {
             estimator,
             crawl: None,
             history: HistoryHandle::default(),
-            observed_ratios: Vec::new(),
+            observed_ratios: ObservedRatios::default(),
             rng: StdRng::seed_from_u64(seed),
             forward_walks: 0,
         }
@@ -191,19 +191,16 @@ impl<N: SocialNetwork> Sampler for WalkEstimateSampler<N> {
             )?;
 
             // Rejection sampling toward the input walk's target distribution.
-            let degree = self.osn.degree(candidate)?;
+            // The candidate's degree is the length of the list the backward
+            // walks fetched, when any of them did.
+            let degree = match self.estimator.fetched_degree(candidate) {
+                Some(degree) => degree,
+                None => self.osn.degree(candidate)?,
+            };
             let target_weight = self.kind.target().weight(degree);
             let probability = estimate.probability;
-            // The percentile bootstrap re-sorts the observed ratios on every
-            // draw; once a few thousand ratios have been collected the
-            // percentile is stable, so stop growing the vector (keeps a long
-            // sampling run linear instead of quadratic in the sample count).
-            const MAX_OBSERVED_RATIOS: usize = 4096;
-            if probability > 0.0
-                && target_weight > 0.0
-                && self.observed_ratios.len() < MAX_OBSERVED_RATIOS
-            {
-                self.observed_ratios.push(probability / target_weight);
+            if probability > 0.0 && target_weight > 0.0 {
+                self.observed_ratios.record(probability / target_weight);
             }
             let scale = self.config.scaling_factor.resolve(&self.observed_ratios);
             let accept = match scale {
@@ -402,5 +399,40 @@ mod tests {
         // should stay modest. A crawl of a BA hub would touch a large share
         // of the 150-node graph immediately.
         assert!(sampler.name().starts_with("WE-None"));
+    }
+
+    #[test]
+    fn an_attempt_fetches_each_list_once() {
+        // One attempt per draw, on a shared counter. A simple random walk
+        // fetches one list per forward step and one per backward step, and
+        // the candidate's list once: the backward walks share it and the
+        // acceptance step reads its degree from it. When the crawl answers
+        // every backward walk at once, the acceptance step asks itself.
+        let (osn, _) = osn_with_graph(200, 37);
+        let t = 6;
+        for (variant, walk_length, backward_steps, degree_probes) in [
+            (WalkEstimateVariant::WeightedOnly, t, 5 * t + 1, 0),
+            (WalkEstimateVariant::Full, t, 5 * (t - 2) + 1, 0),
+            (WalkEstimateVariant::Full, 2, 0, 1),
+        ] {
+            let config = WalkEstimateConfig {
+                max_attempts_per_sample: 1,
+                ..WalkEstimateConfig::default()
+            }
+            .with_variant(variant)
+            .with_walk_length(WalkLengthPolicy::Fixed(walk_length));
+            let mut sampler =
+                WalkEstimateSampler::new(osn.clone(), RandomWalkKind::Simple, config, 41);
+            sampler.draw().unwrap(); // builds the crawl
+            for _ in 0..5 {
+                let before = osn.query_stats().api_calls;
+                sampler.draw().unwrap();
+                assert_eq!(
+                    osn.query_stats().api_calls - before,
+                    (walk_length + backward_steps + degree_probes) as u64,
+                    "{variant:?} t={walk_length}"
+                );
+            }
+        }
     }
 }

@@ -35,34 +35,56 @@ impl Default for ScalingFactorPolicy {
 }
 
 impl ScalingFactorPolicy {
-    /// Resolves the scaling factor from the observed `p(v)/q(v)` ratios.
+    /// Resolves the scaling factor from the observed `p(v)/q(v)` ratios,
+    /// which [`ObservedRatios`] keeps clean and sorted: the percentile is an
+    /// index into them.
     ///
     /// Returns `None` when no ratios are available (the caller should then
     /// accept the sample unconditionally or defer).
-    pub fn resolve(&self, observed_ratios: &[f64]) -> Option<f64> {
+    pub fn resolve(&self, observed: &ObservedRatios) -> Option<f64> {
+        let sorted = &observed.sorted;
         match *self {
             ScalingFactorPolicy::Manual(value) => Some(value),
-            ScalingFactorPolicy::ExactMin => observed_ratios
-                .iter()
-                .copied()
-                .filter(|r| r.is_finite() && *r > 0.0)
-                .fold(None, |acc: Option<f64>, r| {
-                    Some(acc.map_or(r, |a| a.min(r)))
-                }),
+            ScalingFactorPolicy::ExactMin => sorted.first().copied(),
             ScalingFactorPolicy::Percentile(pct) => {
-                let mut clean: Vec<f64> = observed_ratios
-                    .iter()
-                    .copied()
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .collect();
-                if clean.is_empty() {
+                if sorted.is_empty() {
                     return None;
                 }
-                clean.sort_by(|a, b| a.partial_cmp(b).expect("filtered NaNs"));
                 let pct = pct.clamp(0.0, 100.0);
-                let idx = ((pct / 100.0) * (clean.len() - 1) as f64).round() as usize;
-                Some(clean[idx])
+                let idx = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+                Some(sorted[idx])
             }
+        }
+    }
+}
+
+/// The `p(v)/q(v)` ratios a sampler has observed, kept sorted for
+/// [`ScalingFactorPolicy::resolve`].
+///
+/// Once [`CAPACITY`](Self::CAPACITY) ratios have been recorded the
+/// percentile is stable and later ratios are dropped, which keeps a long
+/// sampling run's memory bounded. Every recorded ratio counts toward the
+/// cap; only clean ones (finite, positive) are kept, each inserted at its
+/// sorted position by binary search.
+#[derive(Debug, Clone, Default)]
+pub struct ObservedRatios {
+    sorted: Vec<f64>,
+    recorded: usize,
+}
+
+impl ObservedRatios {
+    /// Ratios recorded before later ones are dropped.
+    pub const CAPACITY: usize = 4096;
+
+    /// Records one observed ratio, unless the capacity is reached.
+    pub fn record(&mut self, ratio: f64) {
+        if self.recorded >= Self::CAPACITY {
+            return;
+        }
+        self.recorded += 1;
+        if ratio.is_finite() && ratio > 0.0 {
+            let at = self.sorted.partition_point(|&r| r <= ratio);
+            self.sorted.insert(at, ratio);
         }
     }
 }
@@ -88,18 +110,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn observed(ratios: &[f64]) -> ObservedRatios {
+        let mut observed = ObservedRatios::default();
+        for &ratio in ratios {
+            observed.record(ratio);
+        }
+        observed
+    }
+
     #[test]
     fn exact_min_policy_takes_minimum() {
         let policy = ScalingFactorPolicy::ExactMin;
-        assert_eq!(policy.resolve(&[0.5, 0.2, 0.9]), Some(0.2));
-        assert_eq!(policy.resolve(&[]), None);
-        assert_eq!(policy.resolve(&[f64::INFINITY, 0.4]), Some(0.4));
+        assert_eq!(policy.resolve(&observed(&[0.5, 0.2, 0.9])), Some(0.2));
+        assert_eq!(policy.resolve(&observed(&[])), None);
+        assert_eq!(policy.resolve(&observed(&[f64::INFINITY, 0.4])), Some(0.4));
     }
 
     #[test]
     fn percentile_policy_matches_sorted_index() {
         let policy = ScalingFactorPolicy::Percentile(10.0);
-        let ratios: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let ratios = observed(&(1..=100).map(|i| i as f64).collect::<Vec<_>>());
         // 10th percentile of 1..=100 lands near 10.9 -> index 10 -> value 11.
         let resolved = policy.resolve(&ratios).unwrap();
         assert!((9.0..=12.0).contains(&resolved), "{resolved}");
@@ -111,12 +141,15 @@ mod tests {
             ScalingFactorPolicy::Percentile(100.0).resolve(&ratios),
             Some(100.0)
         );
-        assert_eq!(policy.resolve(&[]), None);
+        assert_eq!(policy.resolve(&observed(&[])), None);
     }
 
     #[test]
     fn manual_policy_passes_through() {
-        assert_eq!(ScalingFactorPolicy::Manual(0.123).resolve(&[]), Some(0.123));
+        assert_eq!(
+            ScalingFactorPolicy::Manual(0.123).resolve(&observed(&[])),
+            Some(0.123)
+        );
     }
 
     #[test]
@@ -135,7 +168,7 @@ mod tests {
         // unnormalised weights: scale = min p(v)/w(v) = 0.1.
         let p = [0.6, 0.3, 0.1];
         let scale = ScalingFactorPolicy::ExactMin
-            .resolve(&p.iter().map(|&x| x / 1.0).collect::<Vec<_>>())
+            .resolve(&observed(&p.iter().map(|&x| x / 1.0).collect::<Vec<_>>()))
             .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut accepted = [0usize; 3];
@@ -158,5 +191,80 @@ mod tests {
             let frac = count as f64 / total as f64;
             assert!((frac - 1.0 / 3.0).abs() < 0.02, "{accepted:?}");
         }
+    }
+
+    /// `resolve` as it was before the ratios were kept sorted: filter,
+    /// clone and sort on every call.
+    fn reference_resolve(policy: ScalingFactorPolicy, observed_ratios: &[f64]) -> Option<f64> {
+        match policy {
+            ScalingFactorPolicy::Manual(value) => Some(value),
+            ScalingFactorPolicy::ExactMin => observed_ratios
+                .iter()
+                .copied()
+                .filter(|r| r.is_finite() && *r > 0.0)
+                .fold(None, |acc: Option<f64>, r| {
+                    Some(acc.map_or(r, |a| a.min(r)))
+                }),
+            ScalingFactorPolicy::Percentile(pct) => {
+                let mut clean: Vec<f64> = observed_ratios
+                    .iter()
+                    .copied()
+                    .filter(|r| r.is_finite() && *r > 0.0)
+                    .collect();
+                if clean.is_empty() {
+                    return None;
+                }
+                clean.sort_by(|a, b| a.partial_cmp(b).expect("filtered NaNs"));
+                let pct = pct.clamp(0.0, 100.0);
+                let idx = ((pct / 100.0) * (clean.len() - 1) as f64).round() as usize;
+                Some(clean[idx])
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_ratios_resolve_bit_identically_to_a_sort_per_call() {
+        // The sampler's old bookkeeping: push every ratio until the cap,
+        // then resolve over the unsorted vector.
+        let policies = [
+            ScalingFactorPolicy::Percentile(10.0),
+            ScalingFactorPolicy::Percentile(0.0),
+            ScalingFactorPolicy::Percentile(37.5),
+            ScalingFactorPolicy::Percentile(100.0),
+            ScalingFactorPolicy::ExactMin,
+            ScalingFactorPolicy::Manual(0.25),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5CA1E);
+        let mut pushed: Vec<f64> = Vec::new();
+        let mut observed = ObservedRatios::default();
+        for i in 0..ObservedRatios::CAPACITY + 600 {
+            // Heavy-tailed ratios with repeats, and now and then one that
+            // cannot bound the factor (underflowed to 0, or infinite).
+            let ratio = match rng.gen_range(0..50) {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => 0.5,
+                _ => (rng.gen::<f64>() * 40.0 - 30.0).exp2(),
+            };
+            if pushed.len() < ObservedRatios::CAPACITY {
+                pushed.push(ratio);
+            }
+            observed.record(ratio);
+            let near_cap = i.abs_diff(ObservedRatios::CAPACITY) <= 2;
+            if i % 97 == 0 || near_cap || i == ObservedRatios::CAPACITY + 599 {
+                for policy in policies {
+                    assert_eq!(
+                        policy.resolve(&observed).map(f64::to_bits),
+                        reference_resolve(policy, &pushed).map(f64::to_bits),
+                        "{policy:?} after {i}"
+                    );
+                }
+            }
+        }
+        assert!(
+            observed.sorted.len() < ObservedRatios::CAPACITY,
+            "unclean ratios are dropped"
+        );
+        assert!(observed.sorted.windows(2).all(|w| w[0] <= w[1]));
     }
 }

@@ -7,10 +7,14 @@
 //! degree of the proposed neighbor to evaluate the acceptance ratio — a real
 //! extra query, which is part of why MHRW mixes (and spends) slower than SRW
 //! in practice (Section 8 cites the same observation from Gjoka et al.).
+//! That probe fetches the proposal's whole list, so [`random_walk`] charges
+//! it once and carries it: an accepted proposal's list (or, on a self-loop,
+//! the current node's) is the next step's `N(v)`, not fetched again.
 
 use crate::transition::RandomWalkKind;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::Arc;
 use wnw_access::{Result, SocialNetwork};
 use wnw_graph::NodeId;
 
@@ -54,22 +58,35 @@ pub fn step<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<NodeId> {
     let neighbors = osn.neighbor_list(current)?;
+    Ok(step_from(osn, kind, current, neighbors, rng)?.0)
+}
+
+/// [`step`] from `current` with its list `neighbors` in hand. Returns the
+/// next node and, when this step fetched or held it, the next node's list.
+fn step_from<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
+    osn: &N,
+    kind: RandomWalkKind,
+    current: NodeId,
+    neighbors: Arc<[NodeId]>,
+    rng: &mut R,
+) -> Result<(NodeId, Option<Arc<[NodeId]>>)> {
     if neighbors.is_empty() {
         // An isolated node can only stay put; callers on connected graphs
         // never hit this.
-        return Ok(current);
+        return Ok((current, Some(neighbors)));
     }
     let proposal = *neighbors.choose(rng).expect("non-empty neighbor list");
     match kind {
-        RandomWalkKind::Simple => Ok(proposal),
+        RandomWalkKind::Simple => Ok((proposal, None)),
         RandomWalkKind::MetropolisHastings => {
+            let proposal_neighbors = osn.neighbor_list(proposal)?;
             let du = neighbors.len() as f64;
-            let dv = osn.degree(proposal)? as f64;
+            let dv = proposal_neighbors.len() as f64;
             let accept = (du / dv).min(1.0);
             if rng.gen::<f64>() < accept {
-                Ok(proposal)
+                Ok((proposal, Some(proposal_neighbors)))
             } else {
-                Ok(current)
+                Ok((current, Some(neighbors)))
             }
         }
     }
@@ -86,8 +103,13 @@ pub fn random_walk<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     let mut path = Vec::with_capacity(steps + 1);
     path.push(start);
     let mut current = start;
+    let mut carried = None;
     for _ in 0..steps {
-        current = step(osn, kind, current, rng)?;
+        let neighbors = match carried.take() {
+            Some(list) => list,
+            None => osn.neighbor_list(current)?,
+        };
+        (current, carried) = step_from(osn, kind, current, neighbors, rng)?;
         path.push(current);
     }
     Ok(ForwardWalk { path })
@@ -209,6 +231,49 @@ mod tests {
         .unwrap();
         for w in walk.path.windows(2) {
             assert_ne!(w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn a_walk_fetches_each_list_once() {
+        // SRW lists each node it leaves; MHRW also lists each proposal for
+        // its degree and carries that list (or, on a self-loop, the current
+        // one) into the next step.
+        let osn = SimulatedOsn::new(barabasi_albert(300, 3, 8).unwrap());
+        let mut rng = StdRng::seed_from_u64(9);
+        for (kind, extra) in [
+            (RandomWalkKind::Simple, 0),
+            (RandomWalkKind::MetropolisHastings, 1),
+        ] {
+            for steps in [1u64, 7, 40] {
+                let before = osn.query_stats().api_calls;
+                random_walk(&osn, kind, NodeId(5), steps as usize, &mut rng).unwrap();
+                assert_eq!(
+                    osn.query_stats().api_calls - before,
+                    steps + extra,
+                    "{kind:?} {steps}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn carried_steps_match_fresh_steps() {
+        // `random_walk` carries lists; stepping with `step` fetches them
+        // afresh. The same seed must give the same path.
+        let osn = SimulatedOsn::new(barabasi_albert(300, 3, 10).unwrap());
+        for kind in [RandomWalkKind::Simple, RandomWalkKind::MetropolisHastings] {
+            let mut carried = StdRng::seed_from_u64(11);
+            let mut fresh = carried.clone();
+            let walk = random_walk(&osn, kind, NodeId(3), 60, &mut carried).unwrap();
+            let mut current = NodeId(3);
+            let mut path = vec![current];
+            for _ in 0..60 {
+                current = step(&osn, kind, current, &mut fresh).unwrap();
+                path.push(current);
+            }
+            assert_eq!(walk.path, path, "{kind:?}");
+            assert_eq!(carried.gen::<u64>(), fresh.gen::<u64>());
         }
     }
 }
