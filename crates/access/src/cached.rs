@@ -35,12 +35,7 @@
 //!
 //! The cache freezes each node's **first** successful response — exactly the
 //! paper's cost model, where a crawler stores responses locally and re-reads
-//! its copy for free. Under a per-invocation-randomised interface
-//! ([`NeighborRestriction::RandomSubset`](crate::NeighborRestriction)), later
-//! calls therefore see the frozen first draw rather than fresh subsets;
-//! [`SimulatedOsn`](crate::SimulatedOsn) derives that draw from a per-node
-//! call index, keeping it (and everything sampled through the cache)
-//! deterministic under concurrency.
+//! its copy for free.
 
 use crate::counter::{AtomicStats, QueryStats};
 use crate::interface::SocialNetwork;

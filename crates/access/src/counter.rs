@@ -9,7 +9,7 @@
 //!
 //! * `unique_nodes` — distinct nodes whose neighbor list has been fetched
 //!   (this is *the* query cost used everywhere in the experiments),
-//! * `api_calls` — raw calls including cache hits, for rate-limit modelling,
+//! * `api_calls` — raw calls including cache hits,
 //! * an optional hard [`QueryBudget`] that makes further queries fail with
 //!   [`AccessError::BudgetExhausted`].
 
@@ -159,20 +159,30 @@ impl QueryCounter {
     /// Returns `Ok(true)` if this was the first (charged) access to `v`,
     /// `Ok(false)` on a cache hit, and an error if the budget would be
     /// exceeded by a charged access.
+    ///
+    /// Only a charge counts under the visited lock, because the budget
+    /// check reads `unique_nodes`; a hit and a refusal count after the
+    /// guard is dropped.
     pub fn record_neighbor_query(&self, v: NodeId) -> Result<bool> {
-        let mut visited = lock(&self.visited);
-        if visited.contains(&v) {
-            self.stats.record_hit();
-            return Ok(false);
-        }
-        if self.stats.unique_nodes() >= self.budget.0 {
+        let outcome = {
+            let mut visited = lock(&self.visited);
+            if visited.contains(&v) {
+                Ok(false)
+            } else if self.stats.unique_nodes() >= self.budget.0 {
+                Err(self.exhausted())
+            } else {
+                visited.insert(v);
+                self.stats.record_charge();
+                Ok(true)
+            }
+        };
+        match outcome {
+            Ok(true) => {}
+            Ok(false) => self.stats.record_hit(),
             // The caller did attempt a call: it still counts as one.
-            self.stats.record_refusal();
-            return Err(self.exhausted());
+            Err(_) => self.stats.record_refusal(),
         }
-        visited.insert(v);
-        self.stats.record_charge();
-        Ok(true)
+        outcome
     }
 
     /// Records an attribute read (not charged against the budget).
@@ -338,6 +348,48 @@ mod tests {
         let err = c.record_neighbor_query(NodeId(3)).unwrap_err();
         assert_eq!(err, AccessError::BudgetExhausted { budget: 2 });
         assert_eq!(c.remaining(), 0);
+    }
+
+    #[test]
+    fn threaded_counts_add_up_and_the_budget_holds() {
+        // Four threads over overlapping ranges (0..120 in all), each node
+        // asked twice per thread, against a budget below the distinct count.
+        const BUDGET: u64 = 50;
+        let c = QueryCounter::with_budget(QueryBudget(BUDGET));
+        // Released together, so the first visits race for the budget.
+        let start = std::sync::Barrier::new(4);
+        let per_thread: Vec<[u64; 4]> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let (c, start) = (&c, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let [mut calls, mut hits, mut charges, mut refusals] = [0u64; 4];
+                        for v in (t * 20..t * 20 + 60).chain(t * 20..t * 20 + 60) {
+                            calls += 1;
+                            match c.record_neighbor_query(NodeId(v)) {
+                                Ok(true) => charges += 1,
+                                Ok(false) => hits += 1,
+                                Err(_) => refusals += 1,
+                            }
+                        }
+                        [calls, hits, charges, refusals]
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let [calls, hits, charges, refusals] = per_thread
+            .iter()
+            .fold([0u64; 4], |acc, t| [0, 1, 2, 3].map(|i| acc[i] + t[i]));
+        let distinct = 120;
+        let s = c.stats();
+        assert_eq!(s.unique_nodes, BUDGET.min(distinct));
+        assert_eq!(s.unique_nodes, charges);
+        assert_eq!(s.cache_hits, hits);
+        assert_eq!(s.api_calls, calls);
+        assert_eq!(s.api_calls, hits + charges + refusals);
+        assert!(refusals > 0, "the budget never bit");
     }
 
     #[test]

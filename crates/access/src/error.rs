@@ -18,8 +18,10 @@ pub enum AccessError {
     },
     /// The requested attribute is not exposed by the network.
     UnknownAttribute(String),
-    /// The rate limiter rejected the call (only produced when the limiter is
-    /// configured to reject rather than to account for waiting time).
+    /// The backend answered with a `429`: too many requests. Raised by a
+    /// [`FaultyNetwork`](crate::FaultyNetwork)'s rate-limit bursts; a
+    /// [`ResilientNetwork`](crate::ResilientNetwork) waits out the hint and
+    /// retries.
     RateLimited {
         /// How many simulated seconds the caller would have to wait.
         retry_after_secs: u64,

@@ -4,10 +4,8 @@
 //! arrive in bursts, and whole endpoints flap (Sections 1.1 and 6.3.1 of
 //! the paper motivate exactly this hostility). [`FaultyNetwork`] wraps any
 //! network with a [`FaultInjector`] whose schedule is a **pure function of
-//! `(seed, node, per-node call index)`** via SplitMix64 — the same
-//! determinism idiom as [`SimulatedOsn`](crate::SimulatedOsn)'s
-//! per-node fetch counts — so the same seed produces the same fault
-//! sequence at any thread count or interleaving.
+//! `(seed, node, per-node call index)`** via SplitMix64, so the same seed
+//! produces the same fault sequence at any thread count or interleaving.
 //!
 //! The schedule is shaped as an *initial run* of faults per node: a node
 //! faults for its first `k` calls (capped by

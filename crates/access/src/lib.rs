@@ -13,10 +13,9 @@
 //!   `degree`, and per-node attribute reads, all of which are metered;
 //! * [`QueryCounter`] — unique-node query accounting (the paper's query-cost
 //!   measure) plus raw API-call counts;
-//! * [`SimulatedOsn`] — wraps a [`wnw_graph::Graph`] behind the interface,
-//!   with a neighbor cache, optional [`NeighborRestriction`]s (Section 6.3:
-//!   random-k, fixed-k, truncated neighbor lists with bidirectional-edge
-//!   checking), and an optional [`RateLimiter`];
+//! * [`SimulatedOsn`] — wraps a [`wnw_graph::Graph`] behind the interface:
+//!   each query answers the node's full neighbor list and is metered by a
+//!   [`QueryCounter`];
 //! * [`QueryBudget`] / [`AccessError`] — hard budget enforcement so
 //!   experiments can ask "what does each sampler deliver for X queries?";
 //! * [`CachedNetwork`] — a sharded, lock-striped neighbor cache any number
@@ -51,9 +50,7 @@ pub mod error;
 pub mod fault;
 pub mod interface;
 pub mod metered;
-pub mod rate_limit;
 pub mod resilient;
-pub mod restrictions;
 pub mod simulated;
 pub mod sync;
 
@@ -63,9 +60,7 @@ pub use error::{AccessError, TransientKind, UnavailableReason};
 pub use fault::{FaultInjector, FaultProfile, FaultStats, FaultyNetwork};
 pub use interface::{SocialNetwork, ThreadedNetwork};
 pub use metered::MeteredNetwork;
-pub use rate_limit::{RateLimitMode, RateLimitPolicy, RateLimiter};
 pub use resilient::{ResilienceMonitor, ResilienceStats, ResilientNetwork, RetryPolicy};
-pub use restrictions::NeighborRestriction;
 pub use simulated::SimulatedOsn;
 
 /// Convenience result alias used throughout the crate.

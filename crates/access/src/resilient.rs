@@ -8,9 +8,8 @@
 //! backoff, honors the `retry_after_secs` carried by
 //! [`AccessError::RateLimited`], and fails fast through a per-backend
 //! circuit breaker once the backend looks dead. All waiting happens on a
-//! **simulated clock** (an atomic seconds counter), the same idiom as
-//! [`RateLimiter`](crate::RateLimiter) — experiments stay fast while still
-//! reporting how long the crawl would have waited for real.
+//! **simulated clock** (an atomic seconds counter) — experiments stay fast
+//! while still reporting how long the crawl would have waited for real.
 //!
 //! Exhausted retries and open-breaker fast-fails surface as
 //! [`AccessError::Unavailable`], which the engine treats like budget
@@ -446,7 +445,6 @@ mod tests {
     use super::*;
     use crate::error::TransientKind;
     use crate::fault::{FaultProfile, FaultyNetwork};
-    use crate::rate_limit::{RateLimitPolicy, RateLimiter};
     use crate::simulated::SimulatedOsn;
     use wnw_graph::generators::classic::cycle;
     use wnw_graph::generators::random::barabasi_albert;
@@ -508,16 +506,20 @@ mod tests {
 
     #[test]
     fn retry_after_is_honored_and_counted() {
-        // A rejecting limiter with a tiny window: the first over-limit call
-        // is rejected with Retry-After, the resilient layer honors it, and
-        // the (clock-rolled) retry succeeds — the dead-letter path is gone.
-        let osn = SimulatedOsn::builder(cycle(8))
-            .rate_limiter(RateLimiter::rejecting(RateLimitPolicy {
-                requests_per_window: 2,
-                window_secs: 60,
-            }))
-            .build();
-        let net = ResilientNetwork::new(osn, RetryPolicy::DEFAULT, 1);
+        // Every node answers its first call with a 429 carrying
+        // Retry-After: the resilient layer honors it, and the retry (on the
+        // advanced clock) succeeds.
+        let profile = FaultProfile {
+            rate_limit: 1.0,
+            retry_after_secs: 60,
+            max_faults_per_node: 1,
+            ..FaultProfile::OFF
+        };
+        let net = ResilientNetwork::new(
+            FaultyNetwork::new(SimulatedOsn::new(cycle(8)), 1, profile),
+            RetryPolicy::DEFAULT,
+            1,
+        );
         for v in 0..8u32 {
             net.neighbors(NodeId(v)).expect("retry absorbs the 429");
         }
@@ -527,24 +529,6 @@ mod tests {
         assert!(stats.recovered >= 2);
         // The honored waits landed on the simulated clock.
         assert!(stats.clock_secs >= 8 + 60 * stats.rate_limit_honored);
-    }
-
-    #[test]
-    fn accounting_mode_needs_no_retries_at_all() {
-        let osn = SimulatedOsn::builder(cycle(8))
-            .rate_limiter(RateLimiter::new(RateLimitPolicy {
-                requests_per_window: 2,
-                window_secs: 60,
-            }))
-            .build();
-        let net = ResilientNetwork::new(osn, RetryPolicy::DEFAULT, 1);
-        for v in 0..8u32 {
-            net.neighbors(NodeId(v)).unwrap();
-        }
-        let stats = net.stats();
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.rate_limit_honored, 0);
-        assert_eq!(stats.faults_seen, 0);
     }
 
     #[test]

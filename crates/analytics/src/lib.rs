@@ -14,16 +14,13 @@
 //! * [`bias`] — exact sample-bias measurement on small graphs: empirical
 //!   sampling distributions from repeated runs, ℓ∞ / total-variation / KL
 //!   distances against the target, and the degree-ordered PDF/CDF series of
-//!   Figure 12 / Table 1;
-//! * [`degree_estimate`] — mark-and-recapture degree estimation for access
-//!   restriction type 1 (Section 6.3.1).
+//!   Figure 12 / Table 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aggregates;
 pub mod bias;
-pub mod degree_estimate;
 pub mod numeric;
 pub mod stats;
 

@@ -324,11 +324,11 @@ impl HistoryView for OverlayHistory<'_> {
 ///
 /// Reuse can never *bias* the estimator — the importance-weighted backward
 /// estimator is unbiased for any selection distribution with full support,
-/// and the ε floor guarantees full support — but stale evidence from an
-/// earlier epoch can misdirect backward walks (e.g. when per-fetch
-/// neighbor-subset restrictions answered differently then), costing
-/// variance. The correction discounts reused counts so prior epochs never
-/// fully drown a job's own observations.
+/// and the ε floor guarantees full support — but evidence from earlier
+/// epochs can steer backward walks away from where the job's own walks
+/// went, costing variance. The correction discounts reused counts so prior
+/// epochs never fully drown a job's own observations. Whether `Reweighted`
+/// earns its place over `Raw` is not yet measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReuseCorrection {
     /// Reused counts enter at half weight (rounded up, so a single historic

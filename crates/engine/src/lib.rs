@@ -219,28 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_even_under_randomized_restrictions() {
-        // A RandomSubset restriction makes responses depend on how often a
-        // node was fetched; with per-node fetch indices (and the cache
-        // freezing first responses) the job must still be thread-count
-        // invariant.
-        use wnw_access::{NeighborRestriction, SimulatedOsn};
-        let graph = barabasi_albert(300, 4, 19).unwrap();
-        let network = SimulatedOsn::builder(graph)
-            .restriction(NeighborRestriction::RandomSubset { k: 3 })
-            .build();
-        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 12, 77)
-            .with_walkers(4)
-            .with_diameter_estimate(5);
-        network.reset_counters();
-        let one = Engine::with_threads(1).run(&network, &job).unwrap();
-        network.reset_counters();
-        let many = Engine::with_threads(8).run(&network, &job).unwrap();
-        assert_eq!(one.nodes(), many.nodes());
-        assert_eq!(one.pool_stats.unique_nodes, many.pool_stats.unique_nodes);
-    }
-
-    #[test]
     fn walker_panic_propagates_instead_of_deadlocking() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use wnw_access::counter::QueryStats;

@@ -48,6 +48,45 @@ impl Default for BurnInConfig {
     }
 }
 
+/// Walks from `start` until the Geweke monitor on the degree sequence
+/// declares convergence (checked every `check_interval` steps once
+/// `min_steps` are taken) or `max_steps` is reached. Returns the node
+/// reached and the number of steps taken.
+///
+/// The monitored degree of each node is the length of the list its step
+/// fetched, carried into the next step as [`walker::random_walk`] does,
+/// so an `s`-step burn-in fetches `s + 1` lists.
+fn burn_in<N: SocialNetwork + ?Sized>(
+    osn: &N,
+    kind: RandomWalkKind,
+    start: NodeId,
+    config: &BurnInConfig,
+    rng: &mut StdRng,
+) -> Result<(NodeId, usize)> {
+    let mut monitor =
+        GewekeMonitor::new(config.geweke_threshold).with_min_samples(config.min_steps.max(4));
+    let mut current = start;
+    let mut neighbors = osn.neighbor_list(current)?;
+    // Observe the starting node's degree too: the monitor tracks the degree
+    // sequence along the walk, the standard choice of attribute.
+    monitor.observe(neighbors.len() as f64);
+    let mut steps = 0usize;
+    loop {
+        let (next, carried) = walker::step_from(osn, kind, current, neighbors, rng)?;
+        neighbors = match carried {
+            Some(list) => list,
+            None => osn.neighbor_list(next)?,
+        };
+        current = next;
+        steps += 1;
+        monitor.observe(neighbors.len() as f64);
+        let check_due = steps >= config.min_steps && steps.is_multiple_of(config.check_interval);
+        if steps >= config.max_steps || (check_due && monitor.check().converged) {
+            return Ok((current, steps));
+        }
+    }
+}
+
 /// "Many short runs": one independent converged walk per sample.
 pub struct ManyShortRunsSampler<N: SocialNetwork> {
     osn: N,
@@ -92,28 +131,13 @@ impl<N: SocialNetwork> ManyShortRunsSampler<N> {
 
 impl<N: SocialNetwork> Sampler for ManyShortRunsSampler<N> {
     fn draw(&mut self) -> Result<SampleRecord> {
-        let mut monitor = GewekeMonitor::new(self.config.geweke_threshold)
-            .with_min_samples(self.config.min_steps.max(4));
-        let mut current = self.start;
-        let mut steps = 0usize;
-        // Observe the starting node's degree too: the monitor tracks the
-        // degree sequence along the walk, the standard choice of attribute.
-        let start_degree = self.osn.degree(current)? as f64;
-        monitor.observe(start_degree);
-        loop {
-            current = walker::step(&self.osn, self.kind, current, &mut self.rng)?;
-            steps += 1;
-            let degree = self.osn.degree(current)? as f64;
-            monitor.observe(degree);
-            let reached_cap = steps >= self.config.max_steps;
-            if steps >= self.config.min_steps && steps.is_multiple_of(self.config.check_interval) {
-                if monitor.check().converged || reached_cap {
-                    break;
-                }
-            } else if reached_cap {
-                break;
-            }
-        }
+        let (current, steps) = burn_in(
+            &self.osn,
+            self.kind,
+            self.start,
+            &self.config,
+            &mut self.rng,
+        )?;
         self.walk_lengths.push(steps);
         Ok(SampleRecord {
             node: current,
@@ -173,45 +197,19 @@ impl<N: SocialNetwork> OneLongRunSampler<N> {
     pub fn network(&self) -> &N {
         &self.osn
     }
-
-    fn burn_in(&mut self) -> Result<()> {
-        let mut monitor = GewekeMonitor::new(self.config.geweke_threshold)
-            .with_min_samples(self.config.min_steps.max(4));
-        let start_degree = self.osn.degree(self.current)? as f64;
-        monitor.observe(start_degree);
-        let mut steps = 0usize;
-        loop {
-            self.current = walker::step(&self.osn, self.kind, self.current, &mut self.rng)?;
-            steps += 1;
-            let degree = self.osn.degree(self.current)? as f64;
-            monitor.observe(degree);
-            let reached_cap = steps >= self.config.max_steps;
-            if steps >= self.config.min_steps && steps.is_multiple_of(self.config.check_interval) {
-                if monitor.check().converged || reached_cap {
-                    break;
-                }
-            } else if reached_cap {
-                break;
-            }
-        }
-        self.burn_in_steps = steps;
-        self.burned_in = true;
-        Ok(())
-    }
 }
 
 impl<N: SocialNetwork> Sampler for OneLongRunSampler<N> {
     fn draw(&mut self) -> Result<SampleRecord> {
-        if !self.burned_in {
-            self.burn_in()?;
+        if self.burned_in {
+            self.current = walker::step(&self.osn, self.kind, self.current, &mut self.rng)?;
+        } else {
             // The node reached at the end of burn-in is the first sample.
-            return Ok(SampleRecord {
-                node: self.current,
-                query_cost: self.osn.query_cost(),
-                attempts: 1,
-            });
+            let start = self.current;
+            (self.current, self.burn_in_steps) =
+                burn_in(&self.osn, self.kind, start, &self.config, &mut self.rng)?;
+            self.burned_in = true;
         }
-        self.current = walker::step(&self.osn, self.kind, self.current, &mut self.rng)?;
         Ok(SampleRecord {
             node: self.current,
             query_cost: self.osn.query_cost(),
@@ -358,6 +356,101 @@ mod tests {
             "one long run should amortise burn-in: {long_cost} vs {short_cost}"
         );
         assert!(long.name().contains("one-long-run"));
+    }
+
+    #[test]
+    fn an_s_step_burn_in_fetches_s_plus_one_lists() {
+        // Each step carries the list it fetched (SRW: the next node's;
+        // MHRW: the proposal's, or the current one on a self-loop) into the
+        // monitor and the next step; only the start is fetched on its own.
+        for kind in [RandomWalkKind::Simple, RandomWalkKind::MetropolisHastings] {
+            for s in [1usize, 25, 130] {
+                let config = BurnInConfig {
+                    min_steps: s,
+                    max_steps: s,
+                    ..Default::default()
+                };
+                let osn = small_osn(6);
+                let mut short = ManyShortRunsSampler::new(osn.clone(), kind, config, 4);
+                short.draw().unwrap();
+                assert_eq!(short.walk_lengths(), [s]);
+                assert_eq!(osn.query_stats().api_calls, s as u64 + 1, "{kind:?} {s}");
+
+                let osn = small_osn(6);
+                let mut long = OneLongRunSampler::new(osn.clone(), kind, config, 4);
+                long.draw().unwrap();
+                assert_eq!(long.burn_in_steps(), s);
+                assert_eq!(osn.query_stats().api_calls, s as u64 + 1, "{kind:?} {s}");
+            }
+        }
+    }
+
+    /// The two-fetch loop `burn_in` replaced: step, then look the new
+    /// node's degree up again.
+    fn reference_burn_in(
+        osn: &SimulatedOsn,
+        kind: RandomWalkKind,
+        start: NodeId,
+        config: &BurnInConfig,
+        rng: &mut StdRng,
+    ) -> Result<(NodeId, usize)> {
+        let mut monitor =
+            GewekeMonitor::new(config.geweke_threshold).with_min_samples(config.min_steps.max(4));
+        monitor.observe(osn.degree(start)? as f64);
+        let (mut current, mut steps) = (start, 0usize);
+        loop {
+            current = walker::step(osn, kind, current, rng)?;
+            steps += 1;
+            monitor.observe(osn.degree(current)? as f64);
+            let reached_cap = steps >= config.max_steps;
+            if steps >= config.min_steps && steps.is_multiple_of(config.check_interval) {
+                if monitor.check().converged || reached_cap {
+                    break;
+                }
+            } else if reached_cap {
+                break;
+            }
+        }
+        Ok((current, steps))
+    }
+
+    #[test]
+    fn carried_burn_in_is_bit_identical_to_the_two_fetch_loop() {
+        // Same node, walk length, next RNG draw, unique-node cost and
+        // budget refusal; only the raw call count falls.
+        use rand::Rng;
+        let graph = barabasi_albert(300, 3, 12).unwrap();
+        // The strict threshold walks into a cap that is no check step.
+        let capped = BurnInConfig {
+            geweke_threshold: 0.001,
+            max_steps: 130,
+            ..Default::default()
+        };
+        let configs = [BurnInConfig::default(), capped];
+        for (kind, config) in [RandomWalkKind::Simple, RandomWalkKind::MetropolisHastings]
+            .into_iter()
+            .flat_map(|kind| configs.map(|config| (kind, config)))
+        {
+            for (seed, budget) in [(1u64, u64::MAX), (2, u64::MAX), (3, 40), (4, 90)] {
+                let net = || {
+                    SimulatedOsn::builder(graph.clone())
+                        .budget(QueryBudget(budget))
+                        .build()
+                };
+                let (carried, reference) = (net(), net());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ref_rng = rng.clone();
+                for _ in 0..4 {
+                    let start = NodeId(seed as u32);
+                    let got = burn_in(&carried, kind, start, &config, &mut rng);
+                    let want = reference_burn_in(&reference, kind, start, &config, &mut ref_rng);
+                    assert_eq!(got, want, "{kind:?} {config:?} seed {seed} budget {budget}");
+                    assert_eq!(carried.query_cost(), reference.query_cost());
+                    assert!(carried.query_stats().api_calls <= reference.query_stats().api_calls);
+                }
+                assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>());
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub fn step<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
 
 /// [`step`] from `current` with its list `neighbors` in hand. Returns the
 /// next node and, when this step fetched or held it, the next node's list.
-fn step_from<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
+pub(crate) fn step_from<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     osn: &N,
     kind: RandomWalkKind,
     current: NodeId,

@@ -18,7 +18,7 @@
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
 //! | [`graph`] | `wnw-graph` | CSR graph, generators, metrics, I/O |
-//! | [`access`] | `wnw-access` | restricted OSN interface, budgets, rate limits |
+//! | [`access`] | `wnw-access` | restricted OSN interface, budgets, caching, fault injection |
 //! | [`mcmc`] | `wnw-mcmc` | SRW/MHRW, convergence, rejection sampling, baselines |
 //! | [`core`] | `wnw-core` | WALK-ESTIMATE (the paper's contribution) |
 //! | [`runtime`] | `wnw-runtime` | persistent round-barrier worker pool (zero-spawn rounds) |

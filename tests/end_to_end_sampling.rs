@@ -141,28 +141,3 @@ fn surrogate_datasets_flow_through_the_whole_stack() {
         "star estimate {estimate} vs truth {truth}"
     );
 }
-
-#[test]
-fn restrictions_and_rate_limits_compose_with_sampling() {
-    use walk_not_wait::access::{NeighborRestriction, RateLimitPolicy, RateLimiter};
-    let graph = walk_not_wait::graph::generators::random::barabasi_albert(500, 6, 31).unwrap();
-    let osn = SimulatedOsn::builder(graph)
-        .restriction(NeighborRestriction::Truncated { l: 50 })
-        .rate_limiter(RateLimiter::new(RateLimitPolicy {
-            requests_per_window: 100,
-            window_secs: 60,
-        }))
-        .build();
-    let mut sampler = WalkEstimateSampler::new(
-        osn.clone(),
-        RandomWalkKind::Simple,
-        WalkEstimateConfig::default(),
-        37,
-    )
-    .with_diameter_estimate(5);
-    let run = collect_samples(&mut sampler, 10).unwrap();
-    assert_eq!(run.len(), 10);
-    // The rate limiter advanced the simulated clock (many more than 100 calls
-    // were made), and the restriction never broke the walk.
-    assert!(osn.rate_limiter().elapsed_secs() > 0 || osn.query_stats().api_calls <= 100);
-}
