@@ -7,8 +7,8 @@
 //!
 //! * `Local` — a private `WalkHistory`;
 //! * `Overlay` — a pool-shared `SharedWalkHistory` plus pending walks;
-//! * `Seeded` — a frozen `HistoryStore` snapshot, reweighted, under the
-//!   overlay: what a `shared_read` job on a hot start node reads.
+//! * `Seeded` — the same overlay over a frozen `HistoryStore` snapshot read
+//!   at half weight: what a `shared_read` job on a hot start node reads.
 //!
 //! The history is shaped like a hot start node of a warm service: forward
 //! simple random walks of the default length (21 steps) from one node of a
@@ -39,8 +39,7 @@ use wnw_core::estimate::unbiased::{backward_estimate, BackwardBuffers, BackwardO
 use wnw_core::estimate::weighted::{selection_distribution, SelectionBuffers};
 use wnw_core::estimate::InitialCrawl;
 use wnw_core::{
-    HistoryHandle, HistoryKey, HistoryStore, HistoryView, ReuseCorrection, SharedWalkHistory,
-    WalkHistory,
+    HistoryHandle, HistoryKey, HistoryStore, HistoryView, SharedWalkHistory, WalkHistory,
 };
 use wnw_graph::generators::random::barabasi_albert;
 use wnw_graph::{Graph, NodeId};
@@ -186,9 +185,8 @@ fn main() {
     }
     // A single walker's private history holds every walk.
     let mut local = HistoryHandle::default();
-    let mut overlay = HistoryHandle::shared(Arc::clone(&shared));
-    let mut seeded =
-        HistoryHandle::seeded(frozen, ReuseCorrection::Reweighted, Arc::clone(&shared));
+    let mut overlay = HistoryHandle::shared(Arc::clone(&shared), None);
+    let mut seeded = HistoryHandle::shared(Arc::clone(&shared), Some(frozen));
     for walk in base.iter().chain(&live) {
         local.record_walk(walk);
     }

@@ -1,46 +1,10 @@
-//! Shared fixtures for the Criterion benchmark harness.
+//! Micro-benchmarks and load suites of the workspace, one target each under
+//! `benches/`: per-layer timings (history reads, the access stack, round
+//! dispatch, histograms, graph builds) and the SLO-scored service and
+//! gateway load suites. Most write a `BENCH_*.json` report; each file's
+//! header says what it measures and where it writes. Set `WNW_BENCH_SMOKE=1`
+//! for the CI-sized runs.
 //!
-//! Every figure/table of the paper has a bench target under `benches/`,
-//! named `figNN_*` / `table1_*`. The benches run the same code paths as the
-//! `repro` binary but at the *quick* experiment scale, so `cargo bench`
-//! terminates in minutes while still exercising every experiment end to end;
-//! use `cargo run --release -p wnw-experiments --bin repro -- --scale paper`
-//! for paper-scale numbers.
-
-use wnw_access::SimulatedOsn;
-use wnw_core::WalkEstimateConfig;
-use wnw_experiments::report::ExperimentScale;
-use wnw_experiments::runner::Workbench;
-use wnw_graph::generators::random::barabasi_albert;
-use wnw_graph::Graph;
-
-/// The experiment scale used by all benches.
-pub const BENCH_SCALE: ExperimentScale = ExperimentScale::Quick;
-
-/// A small scale-free graph shared by the micro-benchmarks.
-pub fn small_scale_free(n: usize, seed: u64) -> Graph {
-    barabasi_albert(n, 3, seed).expect("valid BA parameters")
-}
-
-/// A simulated OSN over a small scale-free graph.
-pub fn small_osn(n: usize, seed: u64) -> SimulatedOsn {
-    SimulatedOsn::new(small_scale_free(n, seed))
-}
-
-/// A workbench over a small scale-free graph with default WE configuration.
-pub fn small_workbench(n: usize, seed: u64) -> Workbench {
-    Workbench::new(small_scale_free(n, seed), WalkEstimateConfig::default())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build() {
-        assert_eq!(small_scale_free(100, 1).node_count(), 100);
-        assert_eq!(small_workbench(100, 1).graph.node_count(), 100);
-        let osn = small_osn(50, 2);
-        assert_eq!(wnw_access::SocialNetwork::node_count_hint(&osn), Some(50));
-    }
-}
+//! The paper's figures and tables are regenerated by the `repro` binary, not
+//! by benches:
+//! `cargo run --release -p wnw-experiments --bin repro -- --scale quick`.

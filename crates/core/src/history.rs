@@ -11,9 +11,10 @@
 //! * [`WalkHistory`] — the plain single-walker structure;
 //! * [`SharedWalkHistory`] — a lock-striped accumulator a pool of walkers
 //!   merges into, so every walker's backward sampling benefits from *all*
-//!   forward walks (the engine's cooperative mode);
+//!   forward walks (every walker of a weighted WALK-ESTIMATE job);
 //! * [`OverlayHistory`] — a shared snapshot plus a walker's not-yet-merged
-//!   local walks, which is what a walker actually reads mid-round;
+//!   local walks, which is what a walker actually reads mid-round, optionally
+//!   over a frozen cross-job base;
 //! * [`FrozenHistory`] — an immutable snapshot of walks published by
 //!   *completed prior jobs*, handed out by the service-scoped
 //!   [`HistoryStore`] so a new job can start from the evidence its
@@ -25,10 +26,10 @@
 //! Correctness never depends on *which* history a walker sees: the
 //! importance-weighted backward estimator is unbiased for any selection
 //! distribution with full support, so richer history only reduces
-//! variance. That is also what makes cross-job reuse safe — a
-//! [`ReuseCorrection`] merely *reweights* the reused evidence against the
-//! job's own fresh walks; the ε floor of the selection distribution keeps
-//! full support either way, so the estimator contract is never violated.
+//! variance. That is also what makes cross-job reuse safe: reused counts
+//! enter at half weight ([`reused_weight`]) against the job's own fresh
+//! walks, and the ε floor of the selection distribution keeps full support
+//! whatever the weight, so the estimator contract is never violated.
 //!
 //! # Epoch rule (snapshot-on-admit)
 //!
@@ -53,9 +54,9 @@
 //! * [`SharedWalkHistory`] takes the step's stripe read-lock **once per
 //!   call** and holds it across the candidate probes (never once per
 //!   candidate); merges take the write lock, at the engine's barriers only;
-//! * [`OverlayHistory`] adds its shared base, then its pending walks;
-//! * [`SeededHistory`] adds the [`ReuseCorrection`]-weighted frozen count of
-//!   each candidate, then its live overlay.
+//! * [`OverlayHistory`] adds the [`reused_weight`] of each candidate's
+//!   frozen count (when it has a cross-job base), then its shared
+//!   accumulator, then its pending walks.
 //!
 //! [`HistoryView::count_at`] is the same read for one node. Every map is a
 //! [`NodeMap`], whose multiplicative hasher replaces SipHash on these
@@ -294,68 +295,50 @@ impl HistoryView for SharedWalkHistory {
     }
 }
 
+/// The weight a reused (prior-job) count enters a job's reads at: half,
+/// rounded up, so a single historic visit is never erased and the job's own
+/// walks count 2:1 against inherited ones. Evidence from earlier epochs can
+/// steer backward walks away from where the job's own walks went, costing
+/// variance (never bias); the discount keeps prior epochs from drowning a
+/// job's own observations. Whether it beats face value is not yet measured.
+pub fn reused_weight(count: u64) -> u64 {
+    count.div_ceil(2)
+}
+
 /// A shared history snapshot overlaid with a walker's not-yet-merged local
-/// walks: counts are the sum of both layers.
+/// walks, over an optional frozen cross-job base: counts are the
+/// [`reused_weight`] of the base's plus the sum of the live layers.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlayHistory<'a> {
-    base: &'a SharedWalkHistory,
+    base: Option<&'a FrozenHistory>,
+    shared: &'a SharedWalkHistory,
     pending: &'a WalkHistory,
 }
 
 impl<'a> OverlayHistory<'a> {
-    /// Combines a shared base with a walker's pending local walks.
-    pub fn new(base: &'a SharedWalkHistory, pending: &'a WalkHistory) -> Self {
-        OverlayHistory { base, pending }
+    /// Combines a shared accumulator with a walker's pending local walks.
+    pub fn new(shared: &'a SharedWalkHistory, pending: &'a WalkHistory) -> Self {
+        OverlayHistory {
+            base: None,
+            shared,
+            pending,
+        }
     }
 }
 
 impl HistoryView for OverlayHistory<'_> {
     fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
-        self.base.add_counts_at(step, nodes, out);
+        if let Some(base) = self.base {
+            let reused = base.counts.get(step).map(Arc::as_ref);
+            add_step_counts(reused, nodes, out, reused_weight);
+        }
+        self.shared.add_counts_at(step, nodes, out);
         self.pending.add_counts_at(step, nodes, out);
     }
 
     fn walk_count(&self) -> u64 {
-        self.base.walk_count() + self.pending.walk_count()
-    }
-}
-
-/// How reused (prior-job) walk counts are weighted against a job's own.
-///
-/// Reuse can never *bias* the estimator — the importance-weighted backward
-/// estimator is unbiased for any selection distribution with full support,
-/// and the ε floor guarantees full support — but evidence from earlier
-/// epochs can steer backward walks away from where the job's own walks
-/// went, costing variance. The correction discounts reused counts so prior
-/// epochs never fully drown a job's own observations. Whether `Reweighted`
-/// earns its place over `Raw` is not yet measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReuseCorrection {
-    /// Reused counts enter at half weight (rounded up, so a single historic
-    /// visit is never erased): the job's own walks count 2:1 against
-    /// inherited ones. The default for shared policies.
-    #[default]
-    Reweighted,
-    /// Reused counts merge at face value, as if the job had walked them
-    /// itself.
-    Raw,
-}
-
-impl ReuseCorrection {
-    /// The effective weight of a reused count.
-    pub fn apply(&self, count: u64) -> u64 {
-        match self {
-            ReuseCorrection::Reweighted => count.div_ceil(2),
-            ReuseCorrection::Raw => count,
-        }
-    }
-
-    /// The wire/display label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ReuseCorrection::Reweighted => "reweighted",
-            ReuseCorrection::Raw => "raw",
-        }
+        let reused = self.base.map_or(0, |base| reused_weight(base.walks));
+        reused + self.shared.walk_count() + self.pending.walk_count()
     }
 }
 
@@ -608,48 +591,18 @@ impl HistoryStore {
     }
 }
 
-/// A frozen cross-job base under a job's live history: reused counts enter
-/// through the [`ReuseCorrection`], live counts at face value.
-#[derive(Debug, Clone, Copy)]
-pub struct SeededHistory<'a> {
-    base: &'a FrozenHistory,
-    correction: ReuseCorrection,
-    live: OverlayHistory<'a>,
-}
-
-impl HistoryView for SeededHistory<'_> {
-    fn add_counts_at(&self, step: usize, nodes: &[NodeId], out: &mut [u64]) {
-        let reused = self.base.counts.get(step).map(Arc::as_ref);
-        add_step_counts(reused, nodes, out, |count| self.correction.apply(count));
-        self.live.add_counts_at(step, nodes, out);
-    }
-
-    fn walk_count(&self) -> u64 {
-        self.correction.apply(self.base.walks) + self.live.walk_count()
-    }
-}
-
 /// The history a sampler records into: its own, or a pool's shared one.
 #[derive(Debug, Clone)]
 pub enum HistoryHandle {
     /// A private history, as the single-threaded samplers use.
     Local(WalkHistory),
-    /// A pool-shared history plus this walker's pending (unmerged) walks.
+    /// A pool-shared history plus this walker's pending (unmerged) walks,
+    /// optionally read over a frozen cross-job base. The base is read-only
+    /// and never republished, so publication at reap exports only the job's
+    /// own walks.
     Shared {
-        /// The accumulator shared by the pool.
-        shared: Arc<SharedWalkHistory>,
-        /// Walks recorded since the last [`flush`](HistoryHandle::flush).
-        pending: WalkHistory,
-    },
-    /// A pool-shared history seeded with a frozen cross-job base. Walks are
-    /// recorded and flushed exactly like [`Shared`](HistoryHandle::Shared) —
-    /// the base is read-only and never republished, so publication at reap
-    /// exports only the job's own walks.
-    Seeded {
-        /// The frozen prior-jobs snapshot (taken at admission).
-        base: Arc<FrozenHistory>,
-        /// How the base's counts are weighted against the job's own.
-        correction: ReuseCorrection,
+        /// The frozen prior-jobs snapshot (taken at admission), if any.
+        base: Option<Arc<FrozenHistory>>,
         /// The accumulator shared by the pool.
         shared: Arc<SharedWalkHistory>,
         /// Walks recorded since the last [`flush`](HistoryHandle::flush).
@@ -664,24 +617,11 @@ impl Default for HistoryHandle {
 }
 
 impl HistoryHandle {
-    /// A handle merging into `shared`.
-    pub fn shared(shared: Arc<SharedWalkHistory>) -> Self {
+    /// A handle merging into `shared` whose reads also see the
+    /// [`reused_weight`] of a frozen cross-job `base`, if one is given.
+    pub fn shared(shared: Arc<SharedWalkHistory>, base: Option<Arc<FrozenHistory>>) -> Self {
         HistoryHandle::Shared {
-            shared,
-            pending: WalkHistory::new(),
-        }
-    }
-
-    /// A handle merging into `shared` whose reads are seeded with a frozen
-    /// cross-job `base` weighted by `correction`.
-    pub fn seeded(
-        base: Arc<FrozenHistory>,
-        correction: ReuseCorrection,
-        shared: Arc<SharedWalkHistory>,
-    ) -> Self {
-        HistoryHandle::Seeded {
             base,
-            correction,
             shared,
             pending: WalkHistory::new(),
         }
@@ -691,45 +631,36 @@ impl HistoryHandle {
     pub fn record_walk(&mut self, path: &[NodeId]) {
         match self {
             HistoryHandle::Local(h) => h.record_walk(path),
-            HistoryHandle::Shared { pending, .. } | HistoryHandle::Seeded { pending, .. } => {
-                pending.record_walk(path)
-            }
+            HistoryHandle::Shared { pending, .. } => pending.record_walk(path),
         }
     }
 
     /// Publishes pending walks to the shared accumulator (no-op for local
     /// handles). The engine calls this at its round barriers.
     pub fn flush(&mut self) {
-        match self {
-            HistoryHandle::Local(_) => {}
-            HistoryHandle::Shared { shared, pending }
-            | HistoryHandle::Seeded {
-                shared, pending, ..
-            } => {
-                shared.merge(pending);
-                pending.clear();
-            }
+        if let HistoryHandle::Shared {
+            shared, pending, ..
+        } = self
+        {
+            shared.merge(pending);
+            pending.clear();
         }
     }
 
     /// The view a backward estimator should read: local counts, or the
     /// shared counts overlaid with this walker's pending walks (plus the
-    /// corrected frozen base, for seeded handles).
+    /// weighted frozen base, when there is one).
     pub fn view(&self) -> HistoryViewRef<'_> {
         match self {
             HistoryHandle::Local(h) => HistoryViewRef::Local(h),
-            HistoryHandle::Shared { shared, pending } => {
-                HistoryViewRef::Overlay(OverlayHistory::new(shared, pending))
-            }
-            HistoryHandle::Seeded {
+            HistoryHandle::Shared {
                 base,
-                correction,
                 shared,
                 pending,
-            } => HistoryViewRef::Seeded(SeededHistory {
-                base,
-                correction: *correction,
-                live: OverlayHistory::new(shared, pending),
+            } => HistoryViewRef::Overlay(OverlayHistory {
+                base: base.as_deref(),
+                shared,
+                pending,
             }),
         }
     }
@@ -740,11 +671,9 @@ impl HistoryHandle {
 pub enum HistoryViewRef<'a> {
     /// View of a private history.
     Local(&'a WalkHistory),
-    /// View of a shared history plus pending local walks.
+    /// View of a shared history plus pending local walks, over an optional
+    /// frozen base.
     Overlay(OverlayHistory<'a>),
-    /// View of a corrected frozen base under a shared history plus pending
-    /// local walks.
-    Seeded(SeededHistory<'a>),
 }
 
 impl HistoryView for HistoryViewRef<'_> {
@@ -752,7 +681,6 @@ impl HistoryView for HistoryViewRef<'_> {
         match self {
             HistoryViewRef::Local(h) => h.add_counts_at(step, nodes, out),
             HistoryViewRef::Overlay(o) => o.add_counts_at(step, nodes, out),
-            HistoryViewRef::Seeded(s) => s.add_counts_at(step, nodes, out),
         }
     }
 
@@ -760,7 +688,6 @@ impl HistoryView for HistoryViewRef<'_> {
         match self {
             HistoryViewRef::Local(h) => h.walk_count(),
             HistoryViewRef::Overlay(o) => o.walk_count(),
-            HistoryViewRef::Seeded(s) => s.walk_count(),
         }
     }
 }
@@ -876,7 +803,7 @@ mod tests {
     #[test]
     fn handle_flush_publishes_and_clears_pending() {
         let shared = SharedWalkHistory::shared();
-        let mut handle = HistoryHandle::shared(shared.clone());
+        let mut handle = HistoryHandle::shared(shared.clone(), None);
         handle.record_walk(&[NodeId(0), NodeId(3)]);
         // Before the flush the walk is visible to this handle only.
         assert_eq!(handle.view().count_at(NodeId(3), 1), 1);
@@ -987,15 +914,11 @@ mod tests {
 
     #[test]
     fn reuse_correction_weights_counts() {
-        assert_eq!(ReuseCorrection::Raw.apply(5), 5);
-        assert_eq!(ReuseCorrection::Reweighted.apply(5), 3);
-        assert_eq!(ReuseCorrection::Reweighted.apply(4), 2);
+        assert_eq!(reused_weight(5), 3);
+        assert_eq!(reused_weight(4), 2);
         // A single historic visit survives the discount.
-        assert_eq!(ReuseCorrection::Reweighted.apply(1), 1);
-        assert_eq!(ReuseCorrection::Reweighted.apply(0), 0);
-        assert_eq!(ReuseCorrection::default(), ReuseCorrection::Reweighted);
-        assert_eq!(ReuseCorrection::Reweighted.label(), "reweighted");
-        assert_eq!(ReuseCorrection::Raw.label(), "raw");
+        assert_eq!(reused_weight(1), 1);
+        assert_eq!(reused_weight(0), 0);
     }
 
     #[test]
@@ -1013,7 +936,7 @@ mod tests {
         let base = store.snapshot(&key()).unwrap();
         let shared = SharedWalkHistory::shared();
         shared.record_walk(&[NodeId(0), NodeId(2)]);
-        let mut handle = HistoryHandle::seeded(base.clone(), ReuseCorrection::Reweighted, shared);
+        let mut handle = HistoryHandle::shared(shared, Some(base));
         handle.record_walk(&[NodeId(0), NodeId(1)]);
         let view = handle.view();
         // Base 3 visits at (1,1) discounted to 2, plus the pending walk.
@@ -1021,13 +944,9 @@ mod tests {
         assert_eq!(view.count_at(NodeId(2), 1), 1);
         // walk_count: ceil(3/2)=2 base + 1 shared + 1 pending.
         assert_eq!(view.walk_count(), 4);
-        // Under Raw, the base enters at face value.
-        let raw = HistoryHandle::seeded(base, ReuseCorrection::Raw, SharedWalkHistory::shared());
-        assert_eq!(raw.view().count_at(NodeId(1), 1), 3);
-        assert_eq!(raw.view().walk_count(), 3);
         // Flushing a seeded handle publishes only its own pending walks.
         handle.flush();
-        if let HistoryHandle::Seeded { shared, .. } = &handle {
+        if let HistoryHandle::Shared { shared, .. } = &handle {
             assert_eq!(HistoryView::walk_count(&**shared), 2);
         } else {
             unreachable!();

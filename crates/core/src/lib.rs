@@ -60,7 +60,7 @@ pub use config::{WalkEstimateConfig, WalkEstimateVariant};
 pub use estimate::estimator::ProbabilityEstimator;
 pub use history::{
     FrozenHistory, HistoryHandle, HistoryKey, HistoryStore, HistoryStoreStats, HistoryView,
-    OverlayHistory, ReuseCorrection, SharedWalkHistory, WalkHistory,
+    OverlayHistory, SharedWalkHistory, WalkHistory,
 };
 pub use ideal::IdealWalkAnalysis;
 pub use sampler::WalkEstimateSampler;

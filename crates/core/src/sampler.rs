@@ -19,9 +19,7 @@
 use crate::config::{WalkEstimateConfig, WalkEstimateVariant};
 use crate::estimate::crawl::InitialCrawl;
 use crate::estimate::estimator::ProbabilityEstimator;
-use crate::history::{
-    FrozenHistory, HistoryHandle, HistoryView, ReuseCorrection, SharedWalkHistory,
-};
+use crate::history::{FrozenHistory, HistoryHandle, HistoryView, SharedWalkHistory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -82,28 +80,18 @@ impl<N: SocialNetwork> WalkEstimateSampler<N> {
     /// Plugs this sampler into a pool-shared walk history: its forward walks
     /// are published to `shared` on [`flush_history`](Self::flush_history),
     /// and its weighted backward sampling reads everyone's published walks
-    /// (plus its own unpublished ones). Used by the concurrent engine's
-    /// cooperative mode; the estimator stays unbiased under any history, so
-    /// this only changes variance, never correctness.
-    pub fn with_shared_history(mut self, shared: Arc<SharedWalkHistory>) -> Self {
-        self.history = HistoryHandle::shared(shared);
-        self
-    }
-
-    /// Like [`with_shared_history`](Self::with_shared_history), additionally
-    /// seeding reads with a frozen cross-job `base` (walks published by
-    /// completed prior jobs, weighted by `correction`). The base is
-    /// read-only: this sampler's own walks still flush to `shared` only, so
-    /// reused history is never republished. Unbiasedness is unaffected —
-    /// the selection distribution keeps its ε floor — richer history only
-    /// focuses backward walks better.
-    pub fn with_seeded_history(
+    /// (plus its own unpublished ones). A frozen cross-job `base` (walks
+    /// published by completed prior jobs) is read at
+    /// [`reused_weight`](crate::history::reused_weight) and never
+    /// republished: this sampler's own walks flush to `shared` only. The
+    /// estimator stays unbiased under any history, so this only changes
+    /// variance, never correctness.
+    pub fn with_shared_history(
         mut self,
-        base: Arc<FrozenHistory>,
-        correction: ReuseCorrection,
         shared: Arc<SharedWalkHistory>,
+        base: Option<Arc<FrozenHistory>>,
     ) -> Self {
-        self.history = HistoryHandle::seeded(base, correction, shared);
+        self.history = HistoryHandle::shared(shared, base);
         self
     }
 

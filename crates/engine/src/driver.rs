@@ -20,14 +20,14 @@
 //! next round does not depend on the order walkers flushed in — nor on how
 //! many OS threads carried the draws.
 
-use crate::job::{HistoryMode, SampleJob, SamplerSpec};
+use crate::job::{SampleJob, SamplerSpec};
 use crate::report::WalkerReport;
 use std::sync::Arc;
 use wnw_access::counter::{QueryBudget, QueryCounter};
 use wnw_access::interface::SocialNetwork;
 use wnw_access::metered::MeteredNetwork;
 use wnw_access::AccessError;
-use wnw_core::history::{FrozenHistory, ReuseCorrection, SharedWalkHistory, WalkHistory};
+use wnw_core::history::{FrozenHistory, SharedWalkHistory, WalkHistory};
 use wnw_core::sampler::WalkEstimateSampler;
 use wnw_mcmc::burn_in::{ManyShortRunsSampler, OneLongRunSampler};
 use wnw_mcmc::sampler::{SampleRecord, Sampler};
@@ -107,7 +107,7 @@ pub struct JobDriver<'a> {
     /// first visit of a node, so it holds the union of the walkers' visited
     /// sets (see [`query_cost`](Self::query_cost)).
     ledger: Arc<QueryCounter>,
-    /// The job's cooperative accumulator (when the spec uses one): what a
+    /// The job's shared accumulator (when the spec uses one): what a
     /// publishing policy exports at reap. Contains only this job's own
     /// walks — a seeded base is read-only and never lands here.
     shared_history: Option<Arc<SharedWalkHistory>>,
@@ -119,7 +119,7 @@ impl<'a> JobDriver<'a> {
     /// [`MeteredNetwork`] view that charges the job's ledger, with the
     /// sampler the job's spec names on top, started at
     /// [`SampleJob::resolve_start`] and seeded from the walker's RNG stream.
-    /// Cooperative history (when the spec profits from it) is created per
+    /// Shared history (when the spec uses it) is created per
     /// job — live state is never shared across jobs, which would make one
     /// request's samples depend on what else is running (cross-job reuse
     /// goes through immutable [`FrozenHistory`] snapshots instead; see
@@ -137,11 +137,12 @@ impl<'a> JobDriver<'a> {
 
     /// Like [`new`](Self::new), additionally seeding every walker's history
     /// reads with a frozen cross-job snapshot (walks published by completed
-    /// prior jobs, weighted by the given [`ReuseCorrection`]). The snapshot
-    /// is immutable — taken once, at admission, per the store's
+    /// prior jobs, read at [`reused_weight`](wnw_core::history::reused_weight)).
+    /// The snapshot is immutable — taken once, at admission, per the store's
     /// snapshot-on-admit epoch rule — so the job's results are a pure
     /// function of (job, snapshot) at any thread count. Ignored for jobs
-    /// whose spec or history mode cannot use shared history.
+    /// whose walkers share no history (see
+    /// [`SamplerSpec::uses_shared_history`]).
     ///
     /// # Panics
     /// Panics if `job` fails [`SampleJob::validate`] against the cache's
@@ -153,7 +154,7 @@ impl<'a> JobDriver<'a> {
     pub fn with_seed_history<C>(
         cache: C,
         job: &SampleJob,
-        seed_history: Option<(Arc<FrozenHistory>, ReuseCorrection)>,
+        seed_history: Option<Arc<FrozenHistory>>,
     ) -> Self
     where
         C: SocialNetwork + Clone + Send + 'a,
@@ -161,10 +162,10 @@ impl<'a> JobDriver<'a> {
         if let Err(invalid) = job.validate(cache.node_count_hint()) {
             panic!("JobDriver given an invalid job: {invalid}");
         }
-        let shared_history = (job.history == HistoryMode::Cooperative
-            && job.spec.uses_shared_history())
-        .then(SharedWalkHistory::shared);
-        let seed_history = shared_history.is_some().then_some(seed_history).flatten();
+        let shared_history = job
+            .spec
+            .uses_shared_history()
+            .then(SharedWalkHistory::shared);
         let ledger = Arc::new(QueryCounter::unlimited());
         let walkers = (0..job.walkers)
             .map(|w| {
@@ -189,8 +190,8 @@ impl<'a> JobDriver<'a> {
 
     /// The job's own merged walk history — what a publishing policy hands
     /// to the [`HistoryStore`](wnw_core::HistoryStore) at reap. `None` for
-    /// jobs without a cooperative accumulator (baselines,
-    /// independent-history jobs), `Some` (possibly empty) otherwise; callers
+    /// jobs without a shared accumulator (baselines), `Some` (possibly
+    /// empty) otherwise; callers
     /// should publish only non-empty exports.
     pub fn export_shared_history(&self) -> Option<WalkHistory> {
         self.shared_history.as_ref().map(|shared| shared.export())
@@ -369,7 +370,7 @@ fn build_walker<'a, C>(
     job: &SampleJob,
     ledger: &Arc<QueryCounter>,
     shared_history: Option<Arc<SharedWalkHistory>>,
-    seed_history: Option<(Arc<FrozenHistory>, ReuseCorrection)>,
+    seed_history: Option<Arc<FrozenHistory>>,
     walker: usize,
 ) -> WalkerState<'a>
 where
@@ -390,14 +391,8 @@ where
             if let Some(diameter) = job.diameter_estimate {
                 sampler = sampler.with_diameter_estimate(diameter);
             }
-            match (shared_history, seed_history) {
-                (Some(shared), Some((base, correction))) => {
-                    sampler = sampler.with_seeded_history(base, correction, shared);
-                }
-                (Some(shared), None) => {
-                    sampler = sampler.with_shared_history(shared);
-                }
-                (None, _) => {}
+            if let Some(shared) = shared_history {
+                sampler = sampler.with_shared_history(shared, seed_history);
             }
             Box::new(sampler)
         }

@@ -107,7 +107,13 @@ impl SamplerSpec {
         }
     }
 
-    /// Whether walkers of this spec profit from a pool-shared walk history.
+    /// Whether a job of this spec runs its walkers on one pool-shared walk
+    /// history: the one rule for history sharing. Walkers publish their
+    /// forward walks to a [`SharedWalkHistory`](wnw_core::SharedWalkHistory)
+    /// at the engine's round barriers, so every walker's weighted backward
+    /// sampling reads everyone's walks. Reads see a snapshot frozen between
+    /// barriers and merges are additive, so results stay deterministic at
+    /// any thread count. Other specs keep no history a walker could share.
     pub fn uses_shared_history(&self) -> bool {
         matches!(
             self,
@@ -115,22 +121,6 @@ impl SamplerSpec {
                 if config.variant.uses_weighted_sampling()
         )
     }
-}
-
-/// How walkers share forward-walk history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HistoryMode {
-    /// Walkers publish their forward walks to a pool-shared
-    /// [`SharedWalkHistory`](wnw_core::SharedWalkHistory) at the engine's
-    /// round barriers, so every walker's weighted backward sampling benefits
-    /// from everyone's walks. Still deterministic at any thread count: reads
-    /// happen against a snapshot frozen between barriers and merges are
-    /// additive (order-independent).
-    #[default]
-    Cooperative,
-    /// Every walker keeps a private history, exactly like `walkers`
-    /// independent single-threaded samplers.
-    Independent,
 }
 
 /// A request to the engine: collect `samples` samples with `walkers` virtual
@@ -151,8 +141,6 @@ pub struct SampleJob {
     /// walkers and enforced per walker (a pool-global budget would make the
     /// accepted-sample multiset depend on thread interleaving).
     pub budget: Option<u64>,
-    /// History sharing mode.
-    pub history: HistoryMode,
     /// Diameter estimate handed to WALK-ESTIMATE's walk-length policy.
     pub diameter_estimate: Option<usize>,
     /// Start node of every walker's walks. `None` (the default) starts from
@@ -165,8 +153,8 @@ pub struct SampleJob {
 }
 
 impl SampleJob {
-    /// A WALK-ESTIMATE job with the default configuration: cooperative
-    /// history, 4 virtual walkers, no budget.
+    /// A WALK-ESTIMATE job with the default configuration: 4 virtual
+    /// walkers, no budget.
     pub fn walk_estimate(input: RandomWalkKind, samples: usize, seed: u64) -> Self {
         SampleJob {
             spec: SamplerSpec::WalkEstimate {
@@ -177,7 +165,6 @@ impl SampleJob {
             walkers: 4,
             seed,
             budget: None,
-            history: HistoryMode::default(),
             diameter_estimate: None,
             start_node: None,
         }
@@ -194,7 +181,6 @@ impl SampleJob {
             walkers: 4,
             seed,
             budget: None,
-            history: HistoryMode::Independent,
             diameter_estimate: None,
             start_node: None,
         }
@@ -209,12 +195,6 @@ impl SampleJob {
     /// Sets the total query budget.
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Sets the history mode.
-    pub fn with_history(mut self, history: HistoryMode) -> Self {
-        self.history = history;
         self
     }
 

@@ -53,15 +53,13 @@ pub mod reuse;
 
 pub use driver::JobDriver;
 pub use engine::{Engine, RunError};
-pub use job::{HistoryMode, InvalidJob, SampleJob, SamplerSpec, MAX_WALKERS_PER_JOB};
+pub use job::{InvalidJob, SampleJob, SamplerSpec, MAX_WALKERS_PER_JOB};
 pub use parallel::scatter_map;
 pub use report::{JobReport, WalkerReport};
 pub use reuse::{history_key_of, HistoryPolicy};
 // The cross-job history-store types, re-exported so service/gateway code can
 // name them without depending on `wnw-core` directly.
-pub use wnw_core::history::{
-    FrozenHistory, HistoryKey, HistoryStore, HistoryStoreStats, ReuseCorrection,
-};
+pub use wnw_core::history::{FrozenHistory, HistoryKey, HistoryStore, HistoryStoreStats};
 // Round execution runs on the persistent pool of `wnw-runtime`; re-exported
 // so engine users need not name that crate.
 pub use wnw_runtime::{PoolStats, WorkerPool};
@@ -145,7 +143,6 @@ mod tests {
         let osn = osn(250, 11);
         let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 18, 7)
             .with_walkers(3)
-            .with_history(HistoryMode::Cooperative)
             .with_diameter_estimate(4);
         osn.reset_counters();
         let one = Engine::with_threads(1).run(&osn, &job).unwrap();
@@ -155,30 +152,33 @@ mod tests {
     }
 
     #[test]
-    fn independent_mode_matches_sequential_sampler() {
-        // One walker, independent history: the engine must reproduce the
+    fn one_walker_on_shared_history_matches_sequential_sampler() {
+        // One walker reads its own walks whether they sit in the shared
+        // accumulator or its pending layer, so the engine must reproduce the
         // plain single-threaded WalkEstimateSampler exactly.
         use wnw_core::{WalkEstimateConfig, WalkEstimateSampler};
         use wnw_mcmc::collect_samples;
 
         let osn = osn(300, 17);
-        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 12, 123)
-            .with_walkers(1)
-            .with_history(HistoryMode::Independent)
-            .with_diameter_estimate(4);
-        let report = Engine::with_threads(4).run(&osn, &job).unwrap();
+        for input in [RandomWalkKind::Simple, RandomWalkKind::MetropolisHastings] {
+            let job = SampleJob::walk_estimate(input, 12, 123)
+                .with_walkers(1)
+                .with_diameter_estimate(4);
+            assert!(job.spec.uses_shared_history());
+            let report = Engine::with_threads(4).run(&osn, &job).unwrap();
 
-        let reference_osn = osn.clone();
-        reference_osn.reset_counters();
-        let mut reference = WalkEstimateSampler::new(
-            reference_osn,
-            RandomWalkKind::Simple,
-            WalkEstimateConfig::default(),
-            job.seed_of(0),
-        )
-        .with_diameter_estimate(4);
-        let run = collect_samples(&mut reference, 12).unwrap();
-        assert_eq!(report.nodes(), run.nodes());
+            let reference_osn = osn.clone();
+            reference_osn.reset_counters();
+            let mut reference = WalkEstimateSampler::new(
+                reference_osn,
+                input,
+                WalkEstimateConfig::default(),
+                job.seed_of(0),
+            )
+            .with_diameter_estimate(4);
+            let run = collect_samples(&mut reference, 12).unwrap();
+            assert_eq!(report.nodes(), run.nodes(), "{input:?}");
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! Within a job, walkers already cooperate through a job-private
 //! [`SharedWalkHistory`](wnw_core::SharedWalkHistory) (see
-//! [`HistoryMode`]). This module extends the lever
-//! *across* jobs, in the spirit of *Leveraging History for Faster Sampling
-//! of Online Social Networks* (Zhou et al.): a [`HistoryPolicy`] chosen per
-//! request decides whether a job reads the walks completed prior jobs
-//! published, and whether it publishes its own at reap.
+//! [`SamplerSpec::uses_shared_history`](crate::SamplerSpec::uses_shared_history)).
+//! This module extends the lever *across* jobs, in the spirit of
+//! *Leveraging History for Faster Sampling of Online Social Networks* (Zhou
+//! et al.): a [`HistoryPolicy`] chosen per request decides whether a job
+//! reads the walks completed prior jobs published, and whether it publishes
+//! its own at reap.
 //!
 //! The determinism contract is layered:
 //!
@@ -20,15 +21,16 @@
 //!   (job, snapshot): deterministic given an admission order, still
 //!   independent of thread count and co-load *between* publications.
 //!
-//! Reused counts are weighted by a
-//! [`ReuseCorrection`](wnw_core::ReuseCorrection); the importance-weighted
-//! backward estimator stays unbiased under any such reweighting because the
-//! selection distribution keeps full support (its ε floor).
+//! Reused counts enter at half weight
+//! ([`reused_weight`](wnw_core::history::reused_weight)); the
+//! importance-weighted backward estimator stays unbiased under any such
+//! weighting because the selection distribution keeps full support (its
+//! ε floor).
 
 use wnw_core::history::HistoryKey;
 use wnw_graph::NodeId;
 
-use crate::job::{HistoryMode, SampleJob};
+use crate::job::SampleJob;
 
 /// How a request's walk history relates to other jobs', decided at
 /// admission.
@@ -70,17 +72,15 @@ impl HistoryPolicy {
 }
 
 /// The store key a job's walk history lives under, or `None` when the job
-/// cannot exchange history at all: only cooperative WALK-ESTIMATE jobs
-/// record into a job-shared accumulator (baselines and independent-history
-/// jobs keep walker-private histories the driver cannot export), and
-/// histories are only exchangeable between walks of the same design from
-/// the same starting node.
+/// cannot exchange history at all: only jobs whose spec
+/// [`uses_shared_history`](crate::SamplerSpec::uses_shared_history) record into a
+/// job-shared accumulator the driver can export, and histories are only
+/// exchangeable between walks of the same design from the same starting
+/// node.
 pub fn history_key_of(start: NodeId, job: &SampleJob) -> Option<HistoryKey> {
-    (job.history == HistoryMode::Cooperative && job.spec.uses_shared_history()).then(|| {
-        HistoryKey {
-            start,
-            kind: job.spec.input_kind(),
-        }
+    job.spec.uses_shared_history().then(|| HistoryKey {
+        start,
+        kind: job.spec.input_kind(),
     })
 }
 
@@ -107,11 +107,9 @@ mod tests {
     fn only_cooperative_walk_estimate_jobs_have_a_key() {
         let start = NodeId(3);
         let we = SampleJob::walk_estimate(RandomWalkKind::MetropolisHastings, 5, 1);
-        let key = history_key_of(start, &we).expect("cooperative WE job");
+        let key = history_key_of(start, &we).expect("weighted WE job");
         assert_eq!(key.start, start);
         assert_eq!(key.kind, RandomWalkKind::MetropolisHastings);
-        let independent = we.clone().with_history(HistoryMode::Independent);
-        assert!(history_key_of(start, &independent).is_none());
         let baseline = SampleJob::baseline(RandomWalkKind::Simple, 5, 1);
         assert!(history_key_of(start, &baseline).is_none());
     }

@@ -262,7 +262,6 @@ fn pooled_repetition(
         walkers: REPETITION_WALKERS,
         seed,
         budget,
-        history: wnw_engine::HistoryMode::Cooperative,
         diameter_estimate: Some(bench.diameter),
         start_node: None,
     };

@@ -33,9 +33,10 @@
 //! The submit body's optional `"history_policy"` field
 //! (`"isolated"` (default) \| `"shared_read"` \| `"shared_publish"`) plugs a
 //! job into the service's cross-job
-//! [`HistoryStore`](wnw_service::HistoryStore), and `"reuse_correction"`
-//! (`"reweighted"` (default) \| `"raw"`) picks the bias-correction mode for
-//! reused walk counts — see [`wire`] for the full body schema.
+//! [`HistoryStore`](wnw_service::HistoryStore); only `walk_estimate` jobs,
+//! whose walkers share one history, may set a shared policy, and reused
+//! walk counts always enter at half weight — see [`wire`] for the full body
+//! schema.
 //!
 //! Streaming is the service's own [`SampleStream`](wnw_service::SampleStream)
 //! carried over chunked transfer encoding: every event is flushed as one

@@ -14,9 +14,7 @@
 //!   "budget": 10000,                   // optional (unique-node queries)
 //!   "diameter_estimate": 5,            // optional
 //!   "start_node": 17,                  // optional (walks start here; default: the network's seed node)
-//!   "history": "cooperative",          // | "independent"   (within the job)
 //!   "history_policy": "isolated",      // | "shared_read" | "shared_publish"
-//!   "reuse_correction": "reweighted",  // | "raw"
 //!   "priority": "normal",              // | "low" | "high"
 //!   "deadline_ms": 30000               // optional
 //! }
@@ -31,13 +29,12 @@
 
 use crate::json::Json;
 use std::time::Duration;
-use wnw_engine::{HistoryMode, SampleJob, SamplerSpec};
+use wnw_engine::{SampleJob, SamplerSpec};
 use wnw_mcmc::burn_in::BurnInConfig;
 use wnw_mcmc::RandomWalkKind;
 use wnw_service::{
-    HistogramSnapshot, HistoryPolicy, JobOutcome, JobStatus, Priority, ProgressUpdate,
-    ReuseCorrection, SampleEvent, SampleRequest, ServiceMetricsSnapshot, TraceEvent,
-    TraceEventKind,
+    HistogramSnapshot, HistoryPolicy, JobOutcome, JobStatus, Priority, ProgressUpdate, SampleEvent,
+    SampleRequest, ServiceMetricsSnapshot, TraceEvent, TraceEventKind,
 };
 use wnw_telemetry::prometheus::Exposition;
 use wnw_telemetry::MetricValue;
@@ -59,9 +56,7 @@ pub fn sample_request_from_json(body: &Json) -> Result<SampleRequest, String> {
                 | "budget"
                 | "diameter_estimate"
                 | "start_node"
-                | "history"
                 | "history_policy"
-                | "reuse_correction"
                 | "priority"
                 | "deadline_ms"
         ) {
@@ -105,17 +100,6 @@ pub fn sample_request_from_json(body: &Json) -> Result<SampleRequest, String> {
             .map_err(|_| "field `start_node` must fit a 32-bit node id".to_string())?;
         job = job.with_start_node(wnw_graph::NodeId(start));
     }
-    if let Some(history) = optional_str(body, "history")? {
-        job = job.with_history(match history {
-            "cooperative" => HistoryMode::Cooperative,
-            "independent" => HistoryMode::Independent,
-            other => {
-                return Err(format!(
-                    "unknown history mode `{other}` (cooperative|independent)"
-                ))
-            }
-        });
-    }
 
     let mut request = SampleRequest::new(job);
     if let Some(policy) = optional_str(body, "history_policy")? {
@@ -131,34 +115,16 @@ pub fn sample_request_from_json(body: &Json) -> Result<SampleRequest, String> {
         .ok_or_else(|| {
             format!("unknown history_policy `{policy}` (isolated|shared_read|shared_publish)")
         })?;
-        // A shared policy on a job that keeps walker-private histories
-        // (independent mode, baseline samplers) would be a silent no-op —
-        // surface the contradiction to the client instead.
-        if parsed != HistoryPolicy::Isolated
-            && !(request.job.history == HistoryMode::Cooperative
-                && request.job.spec.uses_shared_history())
-        {
+        // A shared policy on a job whose walkers keep no shared history
+        // (the baseline samplers) would be a silent no-op — surface the
+        // contradiction to the client instead.
+        if parsed != HistoryPolicy::Isolated && !request.job.spec.uses_shared_history() {
             return Err(format!(
-                "history_policy `{policy}` requires a walk_estimate job with cooperative history"
+                "history_policy `{policy}` requires a walk_estimate job, whose walkers share \
+                 one history"
             ));
         }
         request = request.with_history_policy(parsed);
-    }
-    if let Some(correction) = optional_str(body, "reuse_correction")? {
-        let parsed = [ReuseCorrection::Reweighted, ReuseCorrection::Raw]
-            .into_iter()
-            .find(|c| c.label() == correction)
-            .ok_or_else(|| format!("unknown reuse_correction `{correction}` (reweighted|raw)"))?;
-        // The correction only applies to reused history; without a reading
-        // policy it would be a silent no-op, so reject the contradiction
-        // like the history_policy check above.
-        if !request.history_policy.reads() {
-            return Err(format!(
-                "reuse_correction `{correction}` requires history_policy shared_read or \
-                 shared_publish"
-            ));
-        }
-        request = request.with_reuse_correction(parsed);
     }
     if let Some(priority) = optional_str(body, "priority")? {
         request = request.with_priority(match priority {
@@ -394,8 +360,7 @@ mod tests {
             r#"{
                 "sampler": "walk_estimate", "input": "mhrw", "samples": 50,
                 "seed": 9007199254740993, "walkers": 3, "budget": 1234,
-                "diameter_estimate": 6, "history": "cooperative",
-                "history_policy": "shared_publish", "reuse_correction": "raw",
+                "diameter_estimate": 6, "history_policy": "shared_publish",
                 "priority": "high", "deadline_ms": 2500
             }"#,
         )
@@ -405,9 +370,7 @@ mod tests {
         assert_eq!(req.job.walkers, 3);
         assert_eq!(req.job.budget, Some(1234));
         assert_eq!(req.job.diameter_estimate, Some(6));
-        assert_eq!(req.job.history, HistoryMode::Cooperative);
         assert_eq!(req.history_policy, HistoryPolicy::SharedPublish);
-        assert_eq!(req.reuse_correction, ReuseCorrection::Raw);
         assert_eq!(req.priority, Priority::High);
         assert_eq!(req.deadline, Some(Duration::from_millis(2500)));
         assert!(matches!(
@@ -427,17 +390,6 @@ mod tests {
         assert_eq!(default.job.start_node, None);
         let err = request(r#"{"samples": 5, "seed": 1, "start_node": 4294967296}"#).unwrap_err();
         assert!(err.contains("start_node"), "got: {err}");
-    }
-
-    #[test]
-    fn independent_history_parses_with_isolated_policy() {
-        let req = request(
-            r#"{"samples": 5, "seed": 1, "history": "independent",
-                "history_policy": "isolated"}"#,
-        )
-        .unwrap();
-        assert_eq!(req.job.history, HistoryMode::Independent);
-        assert_eq!(req.history_policy, HistoryPolicy::Isolated);
     }
 
     #[test]
@@ -464,34 +416,27 @@ mod tests {
                 r#"{"samples": 5, "seed": 1, "priority": "max"}"#,
                 "priority",
             ),
+            // Within-job history sharing (the job's spec decides it) and
+            // the reuse weight (a constant) are not request fields.
             (
-                r#"{"samples": 5, "seed": 1, "history": "psychic"}"#,
-                "history",
+                r#"{"samples": 5, "seed": 1, "history": "independent"}"#,
+                "unknown field `history`",
             ),
             (
                 r#"{"samples": 5, "seed": 1, "history_policy": "gossip"}"#,
                 "history_policy",
             ),
             (
-                r#"{"samples": 5, "seed": 1, "reuse_correction": "vibes"}"#,
-                "reuse_correction",
+                r#"{"samples": 5, "seed": 1, "history_policy": "shared_read",
+                    "reuse_correction": "raw"}"#,
+                "unknown field `reuse_correction`",
             ),
             // A shared policy on a job that cannot exchange history would
             // be a silent no-op — it must be rejected, not accepted.
             (
-                r#"{"samples": 5, "seed": 1, "history": "independent",
-                    "history_policy": "shared_publish"}"#,
-                "cooperative",
-            ),
-            (
                 r#"{"samples": 5, "seed": 1, "sampler": "many_short_runs",
                     "history_policy": "shared_read"}"#,
-                "cooperative",
-            ),
-            // A correction without a reading policy would be a no-op too.
-            (
-                r#"{"samples": 5, "seed": 1, "reuse_correction": "raw"}"#,
-                "shared_read",
+                "requires a walk_estimate job",
             ),
             (r#"{"samples": 5, "seed": 1, "walkers": "four"}"#, "walkers"),
             (r#"{"samples": 5, "seed": 1, "tyop": true}"#, "tyop"),

@@ -40,7 +40,7 @@
 //! * **Reproducibility under co-load.** A request's accepted-sample
 //!   multiset is a pure function of its job (spec, seed, walkers, budget):
 //!   identical at any pool width and no matter what else the service is
-//!   running. Walk history is cooperative *within* a job by default.
+//!   running. The walkers of a WALK-ESTIMATE job share one walk history.
 //! * **Cross-job history reuse (opt-in).** A request's
 //!   [`HistoryPolicy`] can plug it into the
 //!   service-scoped, epoch-versioned [`HistoryStore`]:
@@ -48,11 +48,11 @@
 //!   the walks *completed prior jobs* published (frozen at admission — the
 //!   snapshot-on-admit epoch rule, so mid-job publications are never
 //!   observed) and `SharedPublish` jobs publish their own merged walks at
-//!   reap. Reused counts are discounted by a
-//!   [`ReuseCorrection`]; the backward
-//!   estimator stays unbiased either way, so reuse only reduces variance
-//!   and query cost. [`ServiceMetricsSnapshot::history`] quantifies the
-//!   hits, misses, and inherited query savings.
+//!   reap. Reused counts enter at half weight
+//!   ([`reused_weight`](wnw_core::history::reused_weight)); the backward
+//!   estimator stays unbiased under any weighting, so reuse only reduces
+//!   variance and query cost. [`ServiceMetricsSnapshot::history`]
+//!   quantifies the hits, misses, and inherited query savings.
 //! * **Frontend support.** A [`JobRegistry`] maps [`JobId`]s back to their
 //!   streams and cancellation handles, so frontends (like the HTTP gateway
 //!   in `wnw-gateway`) can serve remote clients that return later holding
@@ -119,7 +119,7 @@ pub use stream::{
 pub use wnw_runtime::{PoolStats, WorkerPool};
 // The cross-job history types a frontend needs to express and observe the
 // reuse lever, re-exported from the engine for the same reason.
-pub use wnw_engine::{HistoryPolicy, HistoryStore, HistoryStoreStats, ReuseCorrection};
+pub use wnw_engine::{HistoryPolicy, HistoryStore, HistoryStoreStats};
 // The telemetry substrate's types a frontend needs to read the metrics
 // snapshot's histograms and the per-job lifecycle trace.
 pub use wnw_telemetry::{Histogram, HistogramSnapshot, TraceEvent, TraceEventKind, TraceLog};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::time::Duration;
-use wnw_engine::{HistoryPolicy, ReuseCorrection, SampleJob};
+use wnw_engine::{HistoryPolicy, SampleJob};
 
 /// Identifier assigned by the service to an admitted request, echoed in
 /// every event of the request's stream.
@@ -78,10 +78,6 @@ pub struct SampleRequest {
     /// completed prior jobs published, and whether it publishes its own at
     /// reap. Defaults to [`HistoryPolicy::Isolated`].
     pub history_policy: HistoryPolicy,
-    /// How reused (prior-job) walk counts are weighted against the job's
-    /// own under a shared policy. Defaults to
-    /// [`ReuseCorrection::Reweighted`].
-    pub reuse_correction: ReuseCorrection,
 }
 
 impl SampleRequest {
@@ -92,7 +88,6 @@ impl SampleRequest {
             priority: Priority::default(),
             deadline: None,
             history_policy: HistoryPolicy::default(),
-            reuse_correction: ReuseCorrection::default(),
         }
     }
 
@@ -111,12 +106,6 @@ impl SampleRequest {
     /// Sets the cross-job history policy.
     pub fn with_history_policy(mut self, policy: HistoryPolicy) -> Self {
         self.history_policy = policy;
-        self
-    }
-
-    /// Sets the reuse bias-correction mode.
-    pub fn with_reuse_correction(mut self, correction: ReuseCorrection) -> Self {
-        self.reuse_correction = correction;
         self
     }
 }
@@ -174,19 +163,16 @@ mod tests {
         let request = SampleRequest::new(job)
             .with_priority(Priority::High)
             .with_deadline(Duration::from_secs(3))
-            .with_history_policy(HistoryPolicy::SharedPublish)
-            .with_reuse_correction(ReuseCorrection::Raw);
+            .with_history_policy(HistoryPolicy::SharedPublish);
         assert_eq!(request.priority, Priority::High);
         assert_eq!(request.deadline, Some(Duration::from_secs(3)));
         assert_eq!(request.history_policy, HistoryPolicy::SharedPublish);
-        assert_eq!(request.reuse_correction, ReuseCorrection::Raw);
     }
 
     #[test]
     fn requests_default_to_isolated_history() {
         let request = SampleRequest::new(SampleJob::walk_estimate(RandomWalkKind::Simple, 5, 1));
         assert_eq!(request.history_policy, HistoryPolicy::Isolated);
-        assert_eq!(request.reuse_correction, ReuseCorrection::Reweighted);
     }
 
     #[test]

@@ -530,12 +530,8 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
                 },
             );
         }
-        let seed_history = frozen.map(|frozen| (frozen, submission.request.reuse_correction));
-        let driver = JobDriver::with_seed_history(
-            Arc::clone(&self.cache),
-            &submission.request.job,
-            seed_history,
-        );
+        let driver =
+            JobDriver::with_seed_history(Arc::clone(&self.cache), &submission.request.job, frozen);
         let deadline = submission.deadline_at();
         ActiveJob {
             id: submission.id,

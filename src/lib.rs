@@ -81,8 +81,7 @@ pub mod prelude {
         WalkEstimateConfig, WalkEstimateSampler, WalkEstimateVariant, WalkLengthPolicy,
     };
     pub use wnw_engine::{
-        Engine, HistoryMode, HistoryPolicy, HistoryStore, HistoryStoreStats, JobReport,
-        ReuseCorrection, SampleJob, SamplerSpec,
+        Engine, HistoryPolicy, HistoryStore, HistoryStoreStats, JobReport, SampleJob, SamplerSpec,
     };
     pub use wnw_gateway::{GatewayConfig, GatewayServer};
     pub use wnw_graph::{Graph, GraphBuilder, NodeId};

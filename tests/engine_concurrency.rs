@@ -13,43 +13,40 @@ fn osn(n: usize, seed: u64) -> SimulatedOsn {
 }
 
 /// The acceptance bar of the engine: for a fixed seed, the accepted-sample
-/// multiset of a job is identical at 1, 2, and 8 worker threads — in both
-/// history modes — and the pool's query cost never exceeds what the same
-/// walkers would pay uncached.
+/// multiset of a job is identical at 1, 2, and 8 worker threads — with its
+/// walkers sharing one history — and the pool's query cost never exceeds
+/// what the same walkers would pay uncached.
 #[test]
 fn same_seed_same_samples_at_1_2_and_8_threads() {
     let network = osn(1_000, 5);
-    for history in [HistoryMode::Cooperative, HistoryMode::Independent] {
-        let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 48, 0xD5)
-            .with_walkers(8)
-            .with_history(history)
-            .with_diameter_estimate(5);
-        let mut reports = Vec::new();
-        for threads in [1usize, 2, 8] {
-            network.reset_counters();
-            reports.push(Engine::with_threads(threads).run(&network, &job).unwrap());
+    let job = SampleJob::walk_estimate(RandomWalkKind::Simple, 48, 0xD5)
+        .with_walkers(8)
+        .with_diameter_estimate(5);
+    let mut reports = Vec::new();
+    for threads in [1usize, 2, 8] {
+        network.reset_counters();
+        reports.push(Engine::with_threads(threads).run(&network, &job).unwrap());
+    }
+    let reference = &reports[0];
+    assert_eq!(reference.len(), 48);
+    for report in &reports[1..] {
+        assert_eq!(
+            reference.sorted_nodes(),
+            report.sorted_nodes(),
+            "multiset diverged"
+        );
+        // Even the per-walker sequences and metering agree.
+        for (a, b) in reference.walkers.iter().zip(&report.walkers) {
+            assert_eq!(a.samples, b.samples);
+            assert_eq!(a.stats, b.stats);
         }
-        let reference = &reports[0];
-        assert_eq!(reference.len(), 48);
-        for report in &reports[1..] {
-            assert_eq!(
-                reference.sorted_nodes(),
-                report.sorted_nodes(),
-                "multiset diverged under {history:?}"
-            );
-            // Even the per-walker sequences and metering agree.
-            for (a, b) in reference.walkers.iter().zip(&report.walkers) {
-                assert_eq!(a.samples, b.samples);
-                assert_eq!(a.stats, b.stats);
-            }
-            assert_eq!(
-                reference.pool_stats.unique_nodes,
-                report.pool_stats.unique_nodes
-            );
-        }
-        for report in &reports {
-            assert!(report.query_cost() <= report.uncached_query_cost());
-        }
+        assert_eq!(
+            reference.pool_stats.unique_nodes,
+            report.pool_stats.unique_nodes
+        );
+    }
+    for report in &reports {
+        assert!(report.query_cost() <= report.uncached_query_cost());
     }
 }
 

@@ -214,37 +214,6 @@ fn second_identical_job_reuses_history_and_records_savings() {
     assert_eq!(svc.history_stats(), metrics.history);
 }
 
-/// Both correction modes complete and replay deterministically; the
-/// correction is part of the request contract, so the two modes may
-/// legitimately shape the multiset differently.
-#[test]
-fn reuse_correction_modes_are_deterministic_request_state() {
-    let run_with = |correction: ReuseCorrection| {
-        let svc = service(false);
-        let _ = run_one(&svc, we_job(20, 0x71), HistoryPolicy::SharedPublish);
-        let ticket = svc
-            .submit(
-                SampleRequest::new(we_job(14, 0x72))
-                    .with_history_policy(HistoryPolicy::SharedReadOnly)
-                    .with_reuse_correction(correction),
-            )
-            .unwrap();
-        let (samples, outcome) = ticket.stream.collect_all();
-        assert_eq!(outcome.unwrap().status, JobStatus::Completed);
-        let mut nodes: Vec<NodeId> = samples.iter().map(|s| s.node).collect();
-        nodes.sort_unstable();
-        nodes
-    };
-    assert_eq!(
-        run_with(ReuseCorrection::Reweighted),
-        run_with(ReuseCorrection::Reweighted)
-    );
-    assert_eq!(
-        run_with(ReuseCorrection::Raw),
-        run_with(ReuseCorrection::Raw)
-    );
-}
-
 /// Golden pin of a reusing job: after a `SharedPublish` job, a
 /// `SharedReadOnly` job streams exactly this `(node, attempts, query_cost)`
 /// sequence and reports this query cost. The constants were recorded

@@ -208,14 +208,13 @@ fn prop_shared_history_merge_is_order_independent_at_any_width() {
 /// the count each layer defines node by node, computed here from the raw
 /// walks: plain and shared histories count their walks, a published
 /// snapshot counts the published walks, an overlay sums shared and pending
-/// walks, and a seeded view adds the `ReuseCorrection` of the published
-/// count to its live overlay.
+/// walks, and a seeded view adds half the published count (rounded up) to
+/// its live overlay.
 #[test]
 fn prop_bulk_history_reads_match_per_node_reference_on_every_layer() {
     use std::sync::Arc;
     use walk_not_wait::core::{
-        HistoryHandle, HistoryKey, HistoryStore, HistoryView, ReuseCorrection, SharedWalkHistory,
-        WalkHistory,
+        HistoryHandle, HistoryKey, HistoryStore, HistoryView, SharedWalkHistory, WalkHistory,
     };
 
     use rand::seq::SliceRandom;
@@ -302,26 +301,19 @@ fn prop_bulk_history_reads_match_per_node_reference_on_every_layer() {
 
         let live =
             |v: NodeId, t: usize| reference(&shared_walks, v, t) + reference(&pending_walks, v, t);
-        let mut overlay = HistoryHandle::shared(Arc::clone(&shared));
+        let mut overlay = HistoryHandle::shared(Arc::clone(&shared), None);
         for walk in &pending_walks {
             overlay.record_walk(walk);
         }
         check("overlay", &overlay.view(), &candidates, steps, live);
 
-        for correction in [ReuseCorrection::Reweighted, ReuseCorrection::Raw] {
-            let mut seeded =
-                HistoryHandle::seeded(Arc::clone(&frozen), correction, Arc::clone(&shared));
-            for walk in &pending_walks {
-                seeded.record_walk(walk);
-            }
-            check(
-                correction.label(),
-                &seeded.view(),
-                &candidates,
-                steps,
-                |v, t| correction.apply(reference(&base, v, t)) + live(v, t),
-            );
+        let mut seeded = HistoryHandle::shared(Arc::clone(&shared), Some(Arc::clone(&frozen)));
+        for walk in &pending_walks {
+            seeded.record_walk(walk);
         }
+        check("seeded", &seeded.view(), &candidates, steps, |v, t| {
+            reference(&base, v, t).div_ceil(2) + live(v, t)
+        });
     }
 }
 
@@ -340,7 +332,6 @@ fn prop_cooperative_jobs_match_width_one_oracle_at_widths_1_2_4() {
         let osn = SimulatedOsn::new(barabasi_albert(n, 3, graph_seed).unwrap());
         let job = SampleJob::walk_estimate(RandomWalkKind::Simple, samples, job_seed)
             .with_walkers(walkers)
-            .with_history(HistoryMode::Cooperative)
             .with_diameter_estimate(4);
         let oracle = Engine::with_threads(1).run(&osn, &job).unwrap();
         for width in [2usize, 4] {
