@@ -11,6 +11,7 @@ use crate::estimate::crawl::InitialCrawl;
 use crate::estimate::unbiased::{backward_estimate, BackwardBuffers, BackwardOptions};
 use crate::history::HistoryView;
 use rand::Rng;
+use std::sync::Arc;
 use wnw_access::{Result, SocialNetwork};
 use wnw_analytics::stats::RunningStats;
 use wnw_graph::NodeId;
@@ -124,12 +125,14 @@ impl ProbabilityEstimator {
 
     /// Estimates `p_t(node)` for a single candidate, spending
     /// `base_repetitions + refinement_repetitions` backward walks on it.
-    /// The walks fetch `node`'s list once between them.
+    /// The walks fetch `node`'s list once between them, and not at all when
+    /// the caller already holds it (`node_list`, which must be `N(node)`).
     #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list for Algorithm 3
     pub fn estimate_single<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
         &mut self,
         osn: &N,
         node: NodeId,
+        node_list: Option<Arc<[NodeId]>>,
         start: NodeId,
         walk_length: usize,
         crawl: Option<&InitialCrawl>,
@@ -137,7 +140,7 @@ impl ProbabilityEstimator {
         rng: &mut R,
     ) -> Result<ProbabilityEstimate> {
         let options = self.options(crawl, history);
-        self.buffers.forget_node_list();
+        self.buffers.hold_node_list(node, node_list);
         let mut stats = RunningStats::new();
         let total = self.base_repetitions + self.refinement_repetitions;
         for _ in 0..total {
@@ -239,7 +242,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(1);
         let est = estimator
-            .estimate_single(&osn, NodeId(10), NodeId(0), 5, None, None, &mut rng)
+            .estimate_single(&osn, NodeId(10), None, NodeId(0), 5, None, None, &mut rng)
             .unwrap();
         assert_eq!(est.repetitions, 15);
         assert_eq!(est.walk_length, 5);
@@ -275,10 +278,10 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
         let est_plain = plain
-            .estimate_single(&osn, target, start, t, Some(&crawl), None, &mut rng_a)
+            .estimate_single(&osn, target, None, start, t, Some(&crawl), None, &mut rng_a)
             .unwrap();
         let est_crawled = crawled
-            .estimate_single(&osn, target, start, t, Some(&crawl), None, &mut rng_b)
+            .estimate_single(&osn, target, None, start, t, Some(&crawl), None, &mut rng_b)
             .unwrap();
         let exact = TransitionMatrix::new(&graph, RandomWalkKind::Simple)
             .distribution_after(start, t)[target.index()];

@@ -77,6 +77,13 @@ impl BackwardBuffers {
         self.node_list = None;
     }
 
+    /// Starts an attempt on `node` holding `list`, which must be `N(node)`
+    /// (the forward walk that reached `node` may already hold it); with
+    /// `None` this is [`forget_node_list`](Self::forget_node_list).
+    pub fn hold_node_list(&mut self, node: NodeId, list: Option<Arc<[NodeId]>>) {
+        self.node_list = list.map(|list| (node, list));
+    }
+
     /// `|N(node)|`, if a walk since the last
     /// [`forget_node_list`](Self::forget_node_list) fetched `node`'s list.
     pub(crate) fn fetched_degree(&self, node: NodeId) -> Option<usize> {
@@ -765,7 +772,8 @@ mod tests {
         // Simple-random-walk factors never vanish, so every walk of length
         // `t` takes `t − h` steps before the crawl (depth `h`, or none)
         // answers: one predecessor fetch each, plus the candidate's own
-        // list once per attempt.
+        // list once per attempt, unless the attempt starts holding it (as
+        // after an MHRW forward walk).
         let graph = barabasi_albert(200, 3, 0x0C0).unwrap();
         let start = NodeId(0);
         let crawl = InitialCrawl::build(
@@ -799,10 +807,14 @@ mod tests {
                 },
             ),
         ] {
-            for t in [1usize, 2, 5, 9] {
+            for (t, held) in [1usize, 2, 5, 9]
+                .into_iter()
+                .flat_map(|t| [(t, false), (t, true)])
+            {
                 for candidate in [NodeId(3), NodeId(57), NodeId(150)] {
+                    let list = held.then(|| osn.inner.neighbor_list(candidate).unwrap());
                     osn.fetches.borrow_mut().clear();
-                    buffers.forget_node_list();
+                    buffers.hold_node_list(candidate, list);
                     for _ in 0..WALKS_PER_ATTEMPT {
                         backward_estimate(
                             &osn,
@@ -818,18 +830,20 @@ mod tests {
                     }
                     let fetches = osn.fetches.borrow();
                     let steps = t.saturating_sub(depth);
+                    let degree = osn.inner.ground_truth().degree(candidate);
                     if steps == 0 {
                         // The crawl answers at once: nothing is fetched, and
-                        // the acceptance step asks for the degree itself.
+                        // the acceptance step reads the degree from a held
+                        // list or asks for it itself.
                         assert!(fetches.is_empty());
-                        assert_eq!(buffers.fetched_degree(candidate), None);
+                        assert_eq!(buffers.fetched_degree(candidate), held.then_some(degree));
                     } else {
-                        assert_eq!(fetches.len(), WALKS_PER_ATTEMPT * steps + 1, "t={t}");
-                        assert_eq!(fetches[0], candidate);
-                        assert_eq!(
-                            buffers.fetched_degree(candidate),
-                            Some(osn.inner.ground_truth().degree(candidate))
-                        );
+                        let own = usize::from(!held);
+                        assert_eq!(fetches.len(), WALKS_PER_ATTEMPT * steps + own, "t={t}");
+                        if !held {
+                            assert_eq!(fetches[0], candidate);
+                        }
+                        assert_eq!(buffers.fetched_degree(candidate), Some(degree));
                     }
                 }
             }

@@ -16,7 +16,7 @@
 //! keeps the estimator provably unbiased under any selection distribution
 //! with full support — the property Section 5.1 establishes and Section 5.3
 //! explicitly aims to preserve ("to maintain the unbiasedness of the
-//! estimation algorithm"). This is documented in DESIGN.md.
+//! estimation algorithm").
 //!
 //! # History reads
 //!

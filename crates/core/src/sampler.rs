@@ -168,9 +168,12 @@ impl<N: SocialNetwork> Sampler for WalkEstimateSampler<N> {
             } else {
                 None
             };
+            // An MHRW walk ends holding the candidate's list; the backward
+            // walks and the acceptance step read it instead of fetching it.
             let estimate = self.estimator.estimate_single(
                 &self.osn,
                 candidate,
+                walk.last_list,
                 self.start,
                 self.walk_length,
                 self.crawl.as_ref(),
@@ -396,12 +399,44 @@ mod tests {
         // the candidate's list once: the backward walks share it and the
         // acceptance step reads its degree from it. When the crawl answers
         // every backward walk at once, the acceptance step asks itself.
+        // MHRW's forward walk also lists each proposal, the candidate's
+        // list among them, and hands that list on: with the crawl answering
+        // at once, the acceptance step reads the degree from it.
         let (osn, _) = osn_with_graph(200, 37);
         let t = 6;
-        for (variant, walk_length, backward_steps, degree_probes) in [
-            (WalkEstimateVariant::WeightedOnly, t, 5 * t + 1, 0),
-            (WalkEstimateVariant::Full, t, 5 * (t - 2) + 1, 0),
-            (WalkEstimateVariant::Full, 2, 0, 1),
+        for (kind, variant, walk_length, forward_fetches, backward_steps, degree_probes) in [
+            (
+                RandomWalkKind::Simple,
+                WalkEstimateVariant::WeightedOnly,
+                t,
+                t,
+                5 * t + 1,
+                0,
+            ),
+            (
+                RandomWalkKind::Simple,
+                WalkEstimateVariant::Full,
+                t,
+                t,
+                5 * (t - 2) + 1,
+                0,
+            ),
+            (
+                RandomWalkKind::Simple,
+                WalkEstimateVariant::Full,
+                2,
+                2,
+                0,
+                1,
+            ),
+            (
+                RandomWalkKind::MetropolisHastings,
+                WalkEstimateVariant::Full,
+                2,
+                3,
+                0,
+                0,
+            ),
         ] {
             let config = WalkEstimateConfig {
                 max_attempts_per_sample: 1,
@@ -409,16 +444,15 @@ mod tests {
             }
             .with_variant(variant)
             .with_walk_length(WalkLengthPolicy::Fixed(walk_length));
-            let mut sampler =
-                WalkEstimateSampler::new(osn.clone(), RandomWalkKind::Simple, config, 41);
+            let mut sampler = WalkEstimateSampler::new(osn.clone(), kind, config, 41);
             sampler.draw().unwrap(); // builds the crawl
             for _ in 0..5 {
                 let before = osn.query_stats().api_calls;
                 sampler.draw().unwrap();
                 assert_eq!(
                     osn.query_stats().api_calls - before,
-                    (walk_length + backward_steps + degree_probes) as u64,
-                    "{variant:?} t={walk_length}"
+                    (forward_fetches + backward_steps + degree_probes) as u64,
+                    "{kind:?} {variant:?} t={walk_length}"
                 );
             }
         }

@@ -6,8 +6,9 @@
 //! substantially smaller relative error at the same query cost on both
 //! aggregates and both input walks.
 //!
-//! The Google Plus crawl is replaced by the surrogate described in
-//! `DESIGN.md`; walk length follows the paper's setting `2·d + 1` with
+//! The Google Plus crawl is replaced by the Google-Plus-like surrogate of
+//! [`wnw_graph::generators::surrogate`], whose module doc gives the
+//! substitution rationale; walk length follows the paper's setting `2·d + 1` with
 //! `d = 7`, initial crawling depth `h = 1` (the hub degrees make deeper
 //! crawls needlessly expensive), `ε = 0.1`.
 

@@ -23,7 +23,8 @@
 //! The real Google Plus / Yelp / Twitter crawls are not redistributable, so
 //! [`datasets`] builds surrogate graphs matching the properties the samplers
 //! interact with (degree distribution shape, density, diameter, attribute
-//! variance); see `DESIGN.md` for the substitution rationale.
+//! variance); the [`wnw_graph::generators::surrogate`] module doc gives the
+//! substitution rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,9 +2,9 @@
 //!
 //! The paper evaluates WALK-ESTIMATE on three crawled graphs that are not
 //! redistributable (Google Plus crawl, Yelp academic dataset, SNAP
-//! ego-Twitter). Per the substitution policy in `DESIGN.md`, this module
-//! builds synthetic graphs that match the *properties the sampling algorithms
-//! actually interact with*:
+//! ego-Twitter). This module is the substitution, and this doc is its
+//! rationale: it builds synthetic graphs that match the *properties the
+//! sampling algorithms actually interact with*:
 //!
 //! * degree distribution shape (heavy-tailed, preferential attachment),
 //! * average degree / density,

@@ -9,7 +9,10 @@
 //! in practice (Section 8 cites the same observation from Gjoka et al.).
 //! That probe fetches the proposal's whole list, so [`random_walk`] charges
 //! it once and carries it: an accepted proposal's list (or, on a self-loop,
-//! the current node's) is the next step's `N(v)`, not fetched again.
+//! the current node's) is the next step's `N(v)`, not fetched again. The
+//! list carried out of the last step is the walk's
+//! [`last_list`](ForwardWalk::last_list), so a caller that reads the end
+//! node's list next does not fetch it either.
 
 use crate::transition::RandomWalkKind;
 use rand::seq::SliceRandom;
@@ -24,6 +27,11 @@ pub struct ForwardWalk {
     /// Visited nodes, `path[0]` being the starting node. A walk of `t` steps
     /// has `t + 1` entries; MHRW self-loops repeat the same node.
     pub path: Vec<NodeId>,
+    /// `N(current())`, when the last step fetched or held it: every MHRW
+    /// step ends holding it. `None` after a simple-random-walk step that
+    /// moved (it never lists the node it moves to) and for a walk of no
+    /// steps.
+    pub last_list: Option<Arc<[NodeId]>>,
 }
 
 impl ForwardWalk {
@@ -92,7 +100,9 @@ pub(crate) fn step_from<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     }
 }
 
-/// Runs a walk of exactly `steps` steps starting at `start`.
+/// Runs a walk of exactly `steps` steps starting at `start`, returning the
+/// end node's list too when the walk holds it (see
+/// [`ForwardWalk::last_list`]).
 pub fn random_walk<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
     osn: &N,
     kind: RandomWalkKind,
@@ -112,7 +122,10 @@ pub fn random_walk<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
         (current, carried) = step_from(osn, kind, current, neighbors, rng)?;
         path.push(current);
     }
-    Ok(ForwardWalk { path })
+    Ok(ForwardWalk {
+        path,
+        last_list: carried,
+    })
 }
 
 #[cfg(test)]
@@ -247,12 +260,15 @@ mod tests {
         ] {
             for steps in [1u64, 7, 40] {
                 let before = osn.query_stats().api_calls;
-                random_walk(&osn, kind, NodeId(5), steps as usize, &mut rng).unwrap();
+                let walk = random_walk(&osn, kind, NodeId(5), steps as usize, &mut rng).unwrap();
                 assert_eq!(
                     osn.query_stats().api_calls - before,
                     steps + extra,
                     "{kind:?} {steps}"
                 );
+                // MHRW ends holding the end node's list; SRW never lists it.
+                let expected = (extra == 1).then(|| osn.neighbor_list(walk.current()).unwrap());
+                assert_eq!(walk.last_list, expected, "{kind:?} {steps}");
             }
         }
     }

@@ -15,7 +15,10 @@
 //!   after that, no round ever spawns an OS thread (the pool's counters in
 //!   [`ServiceMetricsSnapshot::worker_pool`] make this observable). The
 //!   rounds of one scheduling wave, one per job, run as a single pool
-//!   batch, so the pool's lanes claim walkers across jobs.
+//!   batch, so the pool's lanes claim walkers across jobs. Jobs are
+//!   admitted and retired at every wave boundary: a new job with a free
+//!   slot runs its first round within one wave of arriving, and a finished
+//!   one sends `Done` at the end of the wave it finished in.
 //!   Interleaving is weighted by [`Priority`] and normalized by each job's
 //!   *measured per-round query cost*: a job whose rounds cost `k×` the
 //!   cheapest active job's gets `weight / k` rounds per cycle (never less

@@ -114,8 +114,8 @@ impl ServiceMetrics {
         self.first_sample.record_duration(elapsed);
     }
 
-    /// Records one scheduler batch's wall-clock duration: one wave of a
-    /// cycle, which steps every job in it by one round in a single pool
+    /// Records one scheduler batch's wall-clock duration: one wave, which
+    /// steps every job with credit left by one round in a single pool
     /// batch, so it is one sample per batch, not per job-round. Only called
     /// when the scheduler's `telemetry` flag is on — this is the one
     /// recording site on the per-batch hot path.

@@ -18,7 +18,9 @@ impl fmt::Display for JobId {
 /// Scheduling priority of a request.
 ///
 /// Priorities are *weights*, not preemption levels: each scheduling cycle
-/// hands every active job [`weight`](Priority::weight) rounds, so among
+/// hands every active job up to [`weight`](Priority::weight) rounds (fewer
+/// when its rounds cost more than the cheapest job's, or when it joins a
+/// cycle already under way), so among
 /// active jobs a high-priority one advances four times as fast as a
 /// low-priority one but can never starve it. The *queue* (jobs admitted
 /// beyond the scheduler's active slots) is drained highest-priority first

@@ -1,31 +1,52 @@
 //! The batched multi-job scheduler.
 //!
 //! One scheduler thread owns every admitted job and advances them in
-//! **scheduling cycles**: each cycle hands every active job up to
-//! [`Priority::weight`] rounds, where one round moves every live walker of
-//! that job one sample forward on the service's shared, persistent
-//! [`WorkerPool`] — one pool serves every in-flight job, so no round ever
-//! spawns an OS thread. A cycle runs in **waves**: wave `k` takes one round
-//! of every job whose allotment exceeds `k`, and runs all of those rounds
-//! as one pool batch (see [`JobDriver::step_rounds`]), each walker its own
-//! task. The pool's lanes claim walkers across jobs, so a job whose
-//! walkers happen to need many acceptance-rejection attempts this round
-//! does not leave a lane idle while the next job waits behind it. Round
-//! interleaving is what keeps the service fair — a 10 000-sample job
-//! advances one round, and a 10-sample job advances one round in the same
-//! wave — and priority weights tilt the ratio without ever starving
-//! anyone.
+//! **waves**. A wave takes one round of every active job that has credit
+//! left (see below), where one round moves every live walker of that job
+//! one sample forward, and runs all of those rounds as one batch on the
+//! service's shared, persistent [`WorkerPool`] (see
+//! [`JobDriver::step_rounds`]), each walker its own task. One pool serves
+//! every in-flight job, so no round spawns an OS thread, and the pool's
+//! lanes claim walkers across jobs, so a job whose walkers need many
+//! acceptance-rejection attempts this round does not leave a lane idle
+//! while the next job waits behind it.
+//!
+//! **One wave per turn.** Each turn of the scheduler loop, in order: takes
+//! in new submissions, retires queued jobs that died waiting (cancelled or
+//! past their deadline), promotes queued jobs into free slots, steps one
+//! wave, streams each stepped job's samples and progress, and retires every
+//! job that became terminal. Admission and retirement thus happen at every
+//! wave boundary: a job that finds a free slot runs its first round within
+//! one wave of its arrival, and a job that finishes sends `Done` (and, under
+//! `SharedPublish`, publishes its history) at the end of the wave it
+//! finished in, freeing its slot for the next promotion.
+//!
+//! **Cycles and credits.** Fairness is counted in **cycles**. Each active
+//! job carries a *credit*: its rounds left in the current cycle. A wave
+//! steps every job with credit and takes one from each; the cycle ends when
+//! no active job has any, and the next wave starts a new one by refilling
+//! every credit with the job's cost-weighted allotment (its
+//! [`Priority::weight`], see below). A job promoted mid-cycle gets its
+//! weight, capped at the waves left in the cycle (the largest credit an
+//! active job holds), so a cycle never runs longer than the longest
+//! allotment fixed at its start — at most `Priority::High`'s weight of 4
+//! waves — however jobs arrive, and no job gets more rounds in a cycle than
+//! its weight. Round interleaving is what keeps the service fair — a
+//! 10 000-sample job advances one round, and a 10-sample job advances one
+//! round in the same wave — and priority weights tilt the ratio without
+//! ever starving anyone.
 //!
 //! **Cost-weighted fairness.** Rounds are not equal: a 16-walker crawl of a
 //! hub-heavy region spends far more queries per round than a 1-walker job.
 //! Each cycle therefore scales a job's round allotment by the ratio of the
 //! *cheapest* active job's measured per-round query cost to its own (see
-//! [`cost_weighted_rounds`]): the cheapest job keeps its full priority
-//! weight while proportionally costlier jobs are throttled toward one round
-//! per cycle, so heterogeneous jobs share the pool by measured work, not by
-//! round count. Every active job still advances at least one round per
-//! cycle — fairness never becomes starvation — and the weighting only
-//! re-times rounds, so it cannot change any job's sample multiset.
+//! [`cost_weighted_rounds`]), recomputed when the cycle starts: the
+//! cheapest job keeps its full priority weight while proportionally
+//! costlier jobs are throttled toward one round per cycle, so heterogeneous
+//! jobs share the pool by measured work, not by round count. Every active
+//! job still advances at least one round per cycle — fairness never becomes
+//! starvation — and the weighting only re-times rounds, so it cannot change
+//! any job's sample multiset.
 //!
 //! Determinism: the scheduler decides only *when* a job's walkers run,
 //! never what they compute. A walker's draws depend on its own RNG stream,
@@ -37,7 +58,8 @@
 //! history crosses jobs only through the epoch-versioned
 //! [`HistoryStore`]: a job under a shared [`history
 //! policy`](crate::SampleRequest::history_policy) reads an *immutable*
-//! snapshot frozen at admission and publishes its own walks only at reap,
+//! snapshot frozen at admission and publishes its own walks only when it is
+//! retired,
 //! so a running job never observes mid-job publications — results under
 //! shared policies are deterministic given an admission order, and the
 //! default isolated policy keeps today's co-load invariance untouched.
@@ -48,8 +70,9 @@
 //! jobs share its waves.
 //!
 //! Cancellation (explicit, deadline, or the consumer dropping its stream)
-//! is checked before every wave; a stopped job keeps the samples it
-//! already delivered and refunds its unused budget in the outcome.
+//! is checked for every active job before every wave; a stopped job is
+//! retired at the end of that wave, keeps the samples it already delivered
+//! and refunds its unused budget in the outcome.
 
 use crate::metrics::ServiceMetrics;
 use crate::request::{JobId, Priority, SampleRequest};
@@ -170,21 +193,23 @@ impl<T> PendingQueue<T> {
     }
 
     /// Removes every item matching `pred`, returning them in arrival order
-    /// (the order the old linear reap walked them in).
+    /// (the order the old linear reap walked them in). Works in place: when
+    /// nothing matches it moves nothing and allocates nothing.
     fn extract_if<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Vec<T> {
         let mut removed: Vec<(u64, T)> = Vec::new();
         for bucket in &mut self.buckets {
-            let mut kept = VecDeque::with_capacity(bucket.len());
-            for (seq, item) in bucket.drain(..) {
-                if pred(&item) {
-                    removed.push((seq, item));
+            let mut i = 0;
+            while i < bucket.len() {
+                if pred(&bucket[i].1) {
+                    removed.extend(bucket.remove(i));
                 } else {
-                    kept.push_back((seq, item));
+                    i += 1;
                 }
             }
-            *bucket = kept;
         }
-        removed.sort_by_key(|(seq, _)| *seq);
+        // Sequence numbers are unique, so the unstable sort is exact (and
+        // never allocates).
+        removed.sort_unstable_by_key(|(seq, _)| *seq);
         removed.into_iter().map(|(_, item)| item).collect()
     }
 }
@@ -231,6 +256,8 @@ struct ActiveJob {
     /// Unique-node cost at the last pumped round — the per-round query
     /// delta reported in `RoundCompleted` trace events.
     last_round_cost: u64,
+    /// Rounds left in the current scheduling cycle.
+    credit: usize,
 }
 
 impl ActiveJob {
@@ -255,13 +282,13 @@ impl ActiveJob {
     }
 
     /// Polls the cooperative stop conditions (round-boundary granularity).
-    fn check_interrupts(&mut self) {
+    fn check_interrupts(&mut self, now: Instant) {
         if self.status.is_some() {
             return;
         }
         if self.cancel.load(Ordering::Relaxed) {
             self.status = Some(JobStatus::Cancelled);
-        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+        } else if self.deadline.is_some_and(|d| now >= d) {
             self.status = Some(JobStatus::DeadlineExpired);
         }
     }
@@ -412,7 +439,7 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
                 }
                 continue;
             }
-            self.cycle();
+            self.wave();
         }
     }
 
@@ -437,12 +464,17 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
     /// cancelled by the caller or past their deadline — so they release
     /// their admission capacity immediately instead of holding it until a
     /// scheduler slot frees up, and never pay for a walker-pool build.
+    ///
+    /// It runs every turn, so a sweep that finds nothing reads the clock
+    /// once and allocates nothing.
     fn reap_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let now = Instant::now();
         let dead = self.pending.extract_if(|submission| {
             submission.cancel.load(Ordering::Relaxed)
-                || submission
-                    .deadline_at()
-                    .is_some_and(|d| Instant::now() >= d)
+                || submission.deadline_at().is_some_and(|d| now >= d)
         });
         for submission in dead {
             // Cancellation wins if both conditions hold (same precedence as
@@ -490,14 +522,22 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
     /// pending submission regardless of priority, so a low-priority job's
     /// wait in the queue is bounded even under a sustained stream of
     /// higher-priority arrivals.
+    ///
+    /// A job promoted mid-cycle gets its priority weight in credit, capped
+    /// at the waves left in the cycle (the largest credit an active job
+    /// holds), so it never lengthens the cycle. With no credit left
+    /// anywhere the cycle is over: the job gets none, and the refill that
+    /// starts the next cycle gives it its allotment with everyone else's.
     fn promote(&mut self) {
+        let waves_left = self.active.iter().map(|job| job.credit).max().unwrap_or(0);
         while self.active.len() < self.config.max_active.max(1) && !self.pending.is_empty() {
             let aged = self.promotions % AGED_PROMOTION_STRIDE == AGED_PROMOTION_STRIDE - 1;
             let submission = self.pending.pop_next(aged).expect("pending is non-empty");
             self.promotions += 1;
             let queue_wait = submission.submitted_at.elapsed();
             self.metrics.on_start(queue_wait);
-            let job = self.admit(submission, queue_wait);
+            let mut job = self.admit(submission, queue_wait);
+            job.credit = job.priority.weight().min(waves_left);
             self.active.push(job);
         }
     }
@@ -548,53 +588,36 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
             publish_key: policy.publishes().then_some(key).flatten(),
             status: None,
             last_round_cost: 0,
+            credit: 0,
         }
     }
 
-    /// One scheduling cycle: every active job advances up to its
-    /// cost-weighted round allotment (priority weight, normalized by the
-    /// job's measured per-round query cost — see [`cost_weighted_rounds`]),
-    /// then terminal jobs are finalized and retired.
+    /// One turn's wave: steps one round of every active job with credit
+    /// left, all of them in one pool batch ([`JobDriver::step_rounds`]), so
+    /// the pool's lanes claim walkers across jobs instead of idling behind
+    /// one job's straggler. When no job has credit the cycle is over, and
+    /// the wave first starts a new one ([`Self::refill`]).
     ///
-    /// The cycle runs in **waves**: wave `k` steps every non-terminal job
-    /// whose allotment exceeds `k` by one round, all of them in one pool
-    /// batch ([`JobDriver::step_rounds`]), so the pool's lanes claim walkers
-    /// across jobs instead of idling behind one job's straggler. Interrupts
-    /// are checked before each wave and every stepped job is pumped after
-    /// it, so cancellation and streaming keep round-boundary granularity.
-    fn cycle(&mut self) {
-        // The cheapest measured per-round cost in this cycle's active set
-        // is the normalization baseline: that job keeps its full weight.
-        let cheapest = self
+    /// Interrupts are checked for every active job before the step, every
+    /// stepped job is pumped after it, and every job that is then terminal
+    /// is retired, so cancellation, streaming and `Done` keep
+    /// round-boundary granularity.
+    fn wave(&mut self) {
+        if self.active.iter().all(|job| job.credit == 0) {
+            self.refill();
+        }
+        let now = Instant::now();
+        let mut batch: Vec<&mut ActiveJob> = self
             .active
-            .iter()
-            .filter_map(ActiveJob::mean_round_cost)
-            .fold(None, |best: Option<f64>, cost| {
-                Some(best.map_or(cost, |b| b.min(cost)))
-            });
-        let allotments: Vec<usize> = self
-            .active
-            .iter()
-            .map(|job| cost_weighted_rounds(job.priority.weight(), job.mean_round_cost(), cheapest))
+            .iter_mut()
+            .filter_map(|job| {
+                job.check_interrupts(now);
+                (job.credit > 0 && !job.terminal()).then_some(job)
+            })
             .collect();
-        let waves = allotments.iter().copied().max().unwrap_or(0);
-        for wave in 0..waves {
-            let mut batch: Vec<&mut ActiveJob> = self
-                .active
-                .iter_mut()
-                .zip(&allotments)
-                .filter_map(|(job, &allotment)| {
-                    if allotment <= wave {
-                        return None;
-                    }
-                    job.check_interrupts();
-                    (!job.terminal()).then_some(job)
-                })
-                .collect();
-            if batch.is_empty() {
-                break;
-            }
-            for job in &batch {
+        if !batch.is_empty() {
+            for job in &mut batch {
+                job.credit -= 1;
                 if job.driver.rounds() == 0 {
                     self.trace.record(job.id.0, TraceEventKind::FirstRound);
                 }
@@ -614,13 +637,28 @@ impl<N: ThreadedNetwork + 'static> Scheduler<N> {
                 job.pump(pool_stats, &self.metrics, &self.trace);
             }
         }
-        let jobs = std::mem::take(&mut self.active);
-        for job in jobs {
-            if job.terminal() {
-                self.finalize(job);
-            } else {
-                self.active.push(job);
-            }
+        let retired: Vec<ActiveJob> = self.active.extract_if(.., |job| job.terminal()).collect();
+        for job in retired {
+            self.finalize(job);
+        }
+    }
+
+    /// Starts a scheduling cycle: every active job's credit becomes its
+    /// cost-weighted allotment (priority weight, normalized by the job's
+    /// measured per-round query cost — see [`cost_weighted_rounds`]).
+    fn refill(&mut self) {
+        // The cheapest measured per-round cost in the active set is the
+        // normalization baseline: that job keeps its full weight.
+        let cheapest = self
+            .active
+            .iter()
+            .filter_map(ActiveJob::mean_round_cost)
+            .fold(None, |best: Option<f64>, cost| {
+                Some(best.map_or(cost, |b| b.min(cost)))
+            });
+        for job in &mut self.active {
+            job.credit =
+                cost_weighted_rounds(job.priority.weight(), job.mean_round_cost(), cheapest);
         }
     }
 

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use walk_not_wait::graph::generators::random::barabasi_albert;
 use walk_not_wait::graph::NodeId;
 use walk_not_wait::prelude::*;
-use walk_not_wait::service::Priority;
+use walk_not_wait::service::{JobId, Priority, StreamPoll};
 
 fn osn(n: usize, seed: u64) -> SimulatedOsn {
     SimulatedOsn::new(barabasi_albert(n, 3, seed).unwrap())
@@ -506,5 +506,247 @@ fn a_panicking_job_does_not_disturb_its_batch_mates() {
     assert!(
         a_outcome.rounds >= 1,
         "the doomed job ran at least one round alongside the healthy one"
+    );
+}
+
+/// A network whose every backend fetch takes `delay`, so a round of a
+/// many-walker job on a cold cache lasts long enough for the test thread to
+/// act between two waves.
+struct Slow {
+    inner: SimulatedOsn,
+    delay: std::time::Duration,
+}
+
+impl SocialNetwork for Slow {
+    fn neighbors(&self, v: NodeId) -> walk_not_wait::access::Result<Vec<NodeId>> {
+        std::thread::sleep(self.delay);
+        self.inner.neighbors(v)
+    }
+    fn attribute(&self, name: &str, v: NodeId) -> walk_not_wait::access::Result<f64> {
+        self.inner.attribute(name, v)
+    }
+    fn seed_node(&self) -> NodeId {
+        self.inner.seed_node()
+    }
+    fn query_stats(&self) -> walk_not_wait::access::QueryStats {
+        self.inner.query_stats()
+    }
+    fn reset_counters(&self) {
+        self.inner.reset_counters()
+    }
+}
+
+/// The times of `job`'s `RoundCompleted` trace events, oldest first.
+fn round_times<N: ThreadedNetwork>(
+    service: &SamplingService<N>,
+    job: JobId,
+) -> Vec<std::time::Duration> {
+    service
+        .trace_of(job)
+        .iter()
+        .filter(|e| matches!(e.kind, TraceEventKind::RoundCompleted { .. }))
+        .map(|e| e.at)
+        .collect()
+}
+
+/// The time of `job`'s first trace event of `label`.
+fn event_time<N: ThreadedNetwork>(
+    service: &SamplingService<N>,
+    job: JobId,
+    label: &str,
+) -> std::time::Duration {
+    service
+        .trace_of(job)
+        .iter()
+        .find(|e| e.kind.label() == label)
+        .unwrap_or_else(|| panic!("job {job:?} has no `{label}` event"))
+        .at
+}
+
+/// Admission at wave boundaries: a job submitted while a long High-priority
+/// job runs (four waves per cycle) starts within one wave of arriving
+/// instead of waiting out the cycle, so at most one of the long job's
+/// rounds completes between its submission and its first round.
+#[test]
+fn a_job_arriving_mid_cycle_starts_within_one_wave() {
+    let service = SamplingService::builder(Slow {
+        inner: osn(4_000, 41),
+        delay: std::time::Duration::from_micros(200),
+    })
+    .pool_threads(2)
+    .build();
+    let long = service
+        .submit(SampleRequest::new(we_job(96, 8, 0x61)).with_priority(Priority::High))
+        .unwrap();
+    // Submit right after the long job's first round, early in its cycle.
+    let mut long_stream = long.stream;
+    let first = long_stream
+        .find(|event| matches!(event, SampleEvent::Progress(_)))
+        .expect("the long job reports progress");
+    assert!(matches!(first, SampleEvent::Progress(p) if p.rounds == 1));
+    let late = service
+        .submit(SampleRequest::new(we_job(4, 1, 0x62)))
+        .unwrap();
+    // Rounds recorded by now cannot have kept the new job waiting: it is in
+    // the scheduler's channel, so the next turn's ingest sees it.
+    let rounds_before = round_times(&service, long.id).len();
+
+    let outcome = late.stream.wait().unwrap();
+    assert_eq!(outcome.status, JobStatus::Completed);
+    let long_outcome = long_stream.wait().unwrap();
+    assert_eq!(long_outcome.status, JobStatus::Completed);
+
+    let first_round = event_time(&service, late.id, "first_round");
+    let waited = round_times(&service, long.id)
+        .into_iter()
+        .filter(|&at| at <= first_round)
+        .count()
+        .saturating_sub(rounds_before);
+    assert!(
+        waited <= 1,
+        "the new job waited for {waited} of the running job's rounds"
+    );
+}
+
+/// Retirement at wave boundaries: a job that finishes mid-cycle sends
+/// `Done` before its co-runner's next round, not at the end of the cycle.
+#[test]
+fn a_job_finishing_mid_cycle_is_done_before_the_next_wave() {
+    let service = SamplingService::builder(osn(1_000, 43))
+        .pool_threads(2)
+        .start_paused()
+        .build();
+    let long = service
+        .submit(SampleRequest::new(we_job(64, 4, 0x71)).with_priority(Priority::High))
+        .unwrap();
+    let short = service
+        .submit(SampleRequest::new(we_job(2, 1, 0x72)).with_priority(Priority::High))
+        .unwrap();
+    service.resume();
+    let short_outcome = short.stream.wait().unwrap();
+    assert_eq!(short_outcome.status, JobStatus::Completed);
+    let long_outcome = long.stream.wait().unwrap();
+    assert_eq!(long_outcome.status, JobStatus::Completed);
+
+    // Both jobs started in the same wave with four rounds of credit; the
+    // short one needs fewer, so it finishes mid-cycle.
+    let short_rounds = short_outcome.rounds;
+    assert!(short_rounds < Priority::High.weight());
+    let long_rounds = round_times(&service, long.id);
+    assert!(long_rounds.len() > short_rounds);
+    let finished = event_time(&service, short.id, "finished");
+    assert!(
+        finished < long_rounds[short_rounds],
+        "`Done` waited for the co-runner's round {}",
+        short_rounds + 1
+    );
+}
+
+/// Bounded cycles under a steady stream of arrivals. A long 16-walker job
+/// costs far more per round than a long 1-walker job of the same priority,
+/// so cost weighting holds it to one round per cycle: its rounds mark the
+/// cycles. Between two of them no job gets more rounds than its weight, and
+/// all the other jobs together get at most four waves' worth (a cycle never
+/// outgrows the longest allotment at its start), however many jobs arrive
+/// meanwhile; and the cheap job still gets more rounds than the costly one,
+/// which shows `cheapest` is recomputed as cycles end.
+#[test]
+fn cycles_stay_bounded_and_cost_weighted_under_steady_arrivals() {
+    const MAX_ACTIVE: usize = 4;
+    let service = SamplingService::builder(osn(5_000, 47))
+        .pool_threads(2)
+        .max_active(MAX_ACTIVE)
+        .max_in_flight(1_024)
+        .start_paused()
+        .build();
+    let costly = service
+        .submit(SampleRequest::new(we_job(16 * 24, 16, 0x81)).with_priority(Priority::High))
+        .unwrap();
+    let cheap = service
+        .submit(SampleRequest::new(we_job(150, 1, 0x82)).with_priority(Priority::High))
+        .unwrap();
+    service.resume();
+
+    // Arrivals every half millisecond until the costly job is done (or
+    // `MAX_ARRIVALS` is reached), alternating Normal and High, each done in
+    // two rounds; their streams stay open so none of them is cancelled for
+    // a hung-up consumer.
+    const MAX_ARRIVALS: usize = 600;
+    let mut costly_stream = costly.stream;
+    let mut arrivals = Vec::new();
+    let mut priorities = BTreeMap::new();
+    priorities.insert(costly.id, Priority::High);
+    priorities.insert(cheap.id, Priority::High);
+    let mut costly_outcome = None;
+    while costly_outcome.is_none() && arrivals.len() < MAX_ARRIVALS {
+        loop {
+            match costly_stream.poll_next() {
+                StreamPoll::Event(SampleEvent::Done(outcome)) => costly_outcome = Some(outcome),
+                StreamPoll::Event(_) => continue,
+                StreamPoll::Empty | StreamPoll::Finished => {}
+            }
+            break;
+        }
+        let priority = if arrivals.len() % 2 == 0 {
+            Priority::Normal
+        } else {
+            Priority::High
+        };
+        let seed = 0x9000 + arrivals.len() as u64;
+        let ticket = service
+            .submit(SampleRequest::new(we_job(2, 1, seed)).with_priority(priority))
+            .unwrap();
+        priorities.insert(ticket.id, priority);
+        arrivals.push(ticket);
+        std::thread::sleep(std::time::Duration::from_micros(500));
+    }
+    let costly_outcome = costly_outcome.or_else(|| costly_stream.wait()).unwrap();
+    assert_eq!(costly_outcome.status, JobStatus::Completed);
+    let cheap_outcome = cheap.stream.wait().unwrap();
+    assert_eq!(cheap_outcome.status, JobStatus::Completed);
+    for ticket in arrivals {
+        assert_eq!(ticket.stream.wait().unwrap().status, JobStatus::Completed);
+    }
+
+    let marks = round_times(&service, costly.id);
+    let rounds: BTreeMap<JobId, Vec<std::time::Duration>> = priorities
+        .keys()
+        .filter(|&&id| id != costly.id)
+        .map(|&id| (id, round_times(&service, id)))
+        .collect();
+    let cheap_last = *rounds[&cheap.id].last().unwrap();
+    let (mut cheap_windows, mut cheap_rounds) = (0, 0);
+    for window in marks.windows(2) {
+        let in_window = |times: &[std::time::Duration]| {
+            times
+                .iter()
+                .filter(|&&at| window[0] <= at && at < window[1])
+                .count()
+        };
+        let mut others = 0;
+        for (id, times) in &rounds {
+            let n = in_window(times);
+            assert!(
+                n <= priorities[id].weight(),
+                "{id:?} ran {n} rounds in one cycle at weight {}",
+                priorities[id].weight()
+            );
+            others += n;
+        }
+        assert!(
+            others <= Priority::High.weight() * (MAX_ACTIVE - 1),
+            "the other jobs ran {others} rounds between two of the costly job's: \
+             the cycle outgrew four waves"
+        );
+        if window[1] <= cheap_last {
+            cheap_windows += 1;
+            cheap_rounds += in_window(&rounds[&cheap.id]);
+        }
+    }
+    assert!(cheap_windows > 0, "the cheap job outlived no cycle");
+    assert!(
+        cheap_rounds >= 2 * cheap_windows,
+        "the costly job was not throttled: the cheap job ran {cheap_rounds} rounds \
+         over {cheap_windows} of the costly job's"
     );
 }
