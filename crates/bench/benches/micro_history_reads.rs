@@ -20,7 +20,7 @@
 //! A last line times the whole backward step: `backward_estimate` over the
 //! `Seeded` view, through a warm `MeteredNetwork<&CachedNetwork>` (a service
 //! walker's view), with the default job's initial crawl (`h = 2`) and its
-//! 3 + 2 walks per candidate sharing one `BackwardBuffers`. Candidates are
+//! 5 walks per candidate sharing one `BackwardBuffers`. Candidates are
 //! the end nodes of the live walks. It reports ns per backward step and the
 //! view's lookups (`neighbor_list` calls, `api_calls`) per backward step.
 //!
@@ -36,7 +36,7 @@ use wnw_access::counter::QueryCounter;
 use wnw_access::metered::MeteredNetwork;
 use wnw_access::{SimulatedOsn, SocialNetwork};
 use wnw_core::estimate::unbiased::{backward_estimate, BackwardBuffers, BackwardOptions};
-use wnw_core::estimate::weighted::{selection_distribution, SelectionBuffers};
+use wnw_core::estimate::weighted::{selection_distribution, SelectionBuffers, EPSILON};
 use wnw_core::estimate::InitialCrawl;
 use wnw_core::{
     HistoryHandle, HistoryKey, HistoryStore, HistoryView, SharedWalkHistory, WalkHistory,
@@ -47,11 +47,9 @@ use wnw_mcmc::RandomWalkKind;
 
 /// Forward-walk steps (the paper's default `2·D̄ + 1` with `D̄ = 10`).
 const WALK_STEPS: usize = 21;
-/// The weighted-sampling floor the samplers use.
-const EPSILON: f64 = 0.1;
 /// The default job's initial-crawl depth `h`.
 const CRAWL_DEPTH: usize = 2;
-/// The default job's backward walks per candidate (3 base + 2 refinement).
+/// The default job's backward walks per candidate.
 const WALKS_PER_CANDIDATE: usize = 5;
 
 fn smoke() -> bool {
@@ -113,7 +111,7 @@ fn backward_step<N: SocialNetwork>(
 ) -> (f64, f64) {
     let options = BackwardOptions {
         crawl: Some(crawl),
-        weighting: Some((history, EPSILON)),
+        weighting: Some(history),
     };
     // Simple-random-walk factors never vanish, so each walk steps back from
     // `WALK_STEPS` until the crawl answers at `CRAWL_DEPTH`.
@@ -125,7 +123,7 @@ fn backward_step<N: SocialNetwork>(
         let calls = view.query_stats().api_calls;
         let started = Instant::now();
         for &node in candidates {
-            buffers.forget_node_list();
+            buffers.hold_node_list(node, None);
             for _ in 0..WALKS_PER_CANDIDATE {
                 sink += backward_estimate(
                     view,

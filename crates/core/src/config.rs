@@ -51,9 +51,10 @@ impl WalkEstimateVariant {
 ///
 /// The defaults follow the paper's experimental setup (Section 7.1): walk
 /// length `2·D̄ + 1` with the diameter conservatively assumed to be at most
-/// 10, initial-crawling depth `h = 2`, weighted-sampling floor `ε = 0.1`,
+/// 10, initial-crawling depth `h = 2`, five backward walks per candidate,
 /// and the 10th-percentile bootstrap for the rejection-sampling scaling
-/// factor.
+/// factor. The weighted-sampling floor is the constant
+/// [`weighted::EPSILON`](crate::estimate::weighted::EPSILON).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalkEstimateConfig {
     /// How the forward walk length `t` is chosen.
@@ -61,15 +62,9 @@ pub struct WalkEstimateConfig {
     /// Depth of the initial crawl around the starting node (`h`, "a small
     /// number like 2 or 3").
     pub crawl_depth: usize,
-    /// Minimum-probability floor `ε` of the weighted backward sampling
-    /// (Algorithm 2).
-    pub weighted_epsilon: f64,
     /// Number of independent backward estimates averaged per candidate
-    /// before variance-based refinement.
-    pub base_backward_repetitions: usize,
-    /// Extra backward estimates distributed across candidates in proportion
-    /// to their estimation variance (Algorithm 3's "remaining budget").
-    pub refinement_backward_repetitions: usize,
+    /// (Algorithm 3's repetitions); at least one is always taken.
+    pub backward_repetitions: usize,
     /// How the rejection-sampling scaling factor is resolved.
     pub scaling_factor: ScalingFactorPolicy,
     /// Which variance-reduction heuristics are active.
@@ -86,9 +81,7 @@ impl Default for WalkEstimateConfig {
         WalkEstimateConfig {
             walk_length: WalkLengthPolicy::default(),
             crawl_depth: 2,
-            weighted_epsilon: 0.1,
-            base_backward_repetitions: 3,
-            refinement_backward_repetitions: 2,
+            backward_repetitions: 5,
             scaling_factor: ScalingFactorPolicy::Percentile(10.0),
             variant: WalkEstimateVariant::Full,
             max_attempts_per_sample: 64,
@@ -145,7 +138,7 @@ mod tests {
     fn default_config_matches_paper_settings() {
         let c = WalkEstimateConfig::default();
         assert_eq!(c.crawl_depth, 2);
-        assert!((c.weighted_epsilon - 0.1).abs() < 1e-12);
+        assert_eq!(c.backward_repetitions, 5);
         assert_eq!(c.scaling_factor, ScalingFactorPolicy::Percentile(10.0));
         assert_eq!(c.variant, WalkEstimateVariant::Full);
     }

@@ -1,10 +1,11 @@
-//! Algorithm 3 — ESTIMATE: repeated backward estimates with variance-driven
-//! budget allocation.
+//! Algorithm 3 — ESTIMATE: repeated backward estimates per candidate.
 //!
 //! A single backward estimate is unbiased but noisy, so ESTIMATE averages
-//! several per candidate and then spends a refinement budget preferentially
-//! on the candidates whose estimates still vary the most ("Choose nodes
-//! randomly proportional to their variance").
+//! `backward_repetitions` of them per candidate, all through the walker's
+//! [`BackwardBuffers`]. The paper's variance-proportional split of a pooled
+//! budget across several candidates is not served: a walker estimates one
+//! candidate per attempt, and with one candidate that split is this flat
+//! average.
 
 use crate::config::{WalkEstimateConfig, WalkEstimateVariant};
 use crate::estimate::crawl::InitialCrawl;
@@ -37,9 +38,7 @@ pub struct ProbabilityEstimate {
 #[derive(Debug, Clone)]
 pub struct ProbabilityEstimator {
     kind: RandomWalkKind,
-    base_repetitions: usize,
-    refinement_repetitions: usize,
-    epsilon: f64,
+    repetitions: usize,
     variant: WalkEstimateVariant,
     buffers: BackwardBuffers,
 }
@@ -49,28 +48,8 @@ impl ProbabilityEstimator {
     pub fn from_config(kind: RandomWalkKind, config: &WalkEstimateConfig) -> Self {
         ProbabilityEstimator {
             kind,
-            base_repetitions: config.base_backward_repetitions.max(1),
-            refinement_repetitions: config.refinement_backward_repetitions,
-            epsilon: config.weighted_epsilon,
+            repetitions: config.backward_repetitions.max(1),
             variant: config.variant,
-            buffers: BackwardBuffers::default(),
-        }
-    }
-
-    /// Builds an estimator with explicit parameters.
-    pub fn new(
-        kind: RandomWalkKind,
-        base_repetitions: usize,
-        refinement_repetitions: usize,
-        epsilon: f64,
-        variant: WalkEstimateVariant,
-    ) -> Self {
-        ProbabilityEstimator {
-            kind,
-            base_repetitions: base_repetitions.max(1),
-            refinement_repetitions,
-            epsilon,
-            variant,
             buffers: BackwardBuffers::default(),
         }
     }
@@ -116,17 +95,17 @@ impl ProbabilityEstimator {
                 None
             },
             weighting: if self.variant.uses_weighted_sampling() {
-                history.map(|h| (h, self.epsilon))
+                history
             } else {
                 None
             },
         }
     }
 
-    /// Estimates `p_t(node)` for a single candidate, spending
-    /// `base_repetitions + refinement_repetitions` backward walks on it.
-    /// The walks fetch `node`'s list once between them, and not at all when
-    /// the caller already holds it (`node_list`, which must be `N(node)`).
+    /// Estimates `p_t(node)` for a single candidate, averaging
+    /// `backward_repetitions` backward walks. The walks fetch `node`'s list
+    /// once between them, and not at all when the caller already holds it
+    /// (`node_list`, which must be `N(node)`).
     #[allow(clippy::too_many_arguments)] // mirrors the paper's parameter list for Algorithm 3
     pub fn estimate_single<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
         &mut self,
@@ -142,8 +121,7 @@ impl ProbabilityEstimator {
         let options = self.options(crawl, history);
         self.buffers.hold_node_list(node, node_list);
         let mut stats = RunningStats::new();
-        let total = self.base_repetitions + self.refinement_repetitions;
-        for _ in 0..total {
+        for _ in 0..self.repetitions {
             let est = self.backward(osn, node, start, walk_length, options, rng)?;
             stats.push(est);
         }
@@ -152,67 +130,8 @@ impl ProbabilityEstimator {
             walk_length,
             probability: stats.mean(),
             variance: stats.variance(),
-            repetitions: total,
+            repetitions: self.repetitions,
         })
-    }
-
-    /// Estimates the probabilities of several candidates (Algorithm 3):
-    /// every candidate receives `base_repetitions` backward walks, then a
-    /// pooled refinement budget of `refinement_repetitions × |candidates|`
-    /// extra walks is handed out with probability proportional to the current
-    /// estimation variance of each candidate.
-    pub fn estimate_many<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
-        &mut self,
-        osn: &N,
-        candidates: &[(NodeId, usize)],
-        start: NodeId,
-        crawl: Option<&InitialCrawl>,
-        history: Option<&dyn HistoryView>,
-        rng: &mut R,
-    ) -> Result<Vec<ProbabilityEstimate>> {
-        let options = self.options(crawl, history);
-        self.buffers.forget_node_list();
-        let mut stats: Vec<RunningStats> = vec![RunningStats::new(); candidates.len()];
-        for (i, &(node, t)) in candidates.iter().enumerate() {
-            for _ in 0..self.base_repetitions {
-                let est = self.backward(osn, node, start, t, options, rng)?;
-                stats[i].push(est);
-            }
-        }
-        // Refinement: allocate extra repetitions proportional to variance.
-        let budget = self.refinement_repetitions * candidates.len();
-        for _ in 0..budget {
-            let variances: Vec<f64> = stats.iter().map(|s| s.variance()).collect();
-            let total_var: f64 = variances.iter().sum();
-            let idx = if total_var <= 0.0 {
-                rng.gen_range(0..candidates.len())
-            } else {
-                let mut threshold = rng.gen::<f64>() * total_var;
-                let mut chosen = candidates.len() - 1;
-                for (i, &v) in variances.iter().enumerate() {
-                    if threshold < v {
-                        chosen = i;
-                        break;
-                    }
-                    threshold -= v;
-                }
-                chosen
-            };
-            let (node, t) = candidates[idx];
-            let est = self.backward(osn, node, start, t, options, rng)?;
-            stats[idx].push(est);
-        }
-        Ok(candidates
-            .iter()
-            .zip(&stats)
-            .map(|(&(node, walk_length), s)| ProbabilityEstimate {
-                node,
-                walk_length,
-                probability: s.mean(),
-                variance: s.variance(),
-                repetitions: s.count() as usize,
-            })
-            .collect())
     }
 }
 
@@ -230,16 +149,19 @@ mod tests {
         (SimulatedOsn::new(graph.clone()), graph)
     }
 
+    fn simple(backward_repetitions: usize, variant: WalkEstimateVariant) -> ProbabilityEstimator {
+        let config = WalkEstimateConfig {
+            backward_repetitions,
+            variant,
+            ..WalkEstimateConfig::default()
+        };
+        ProbabilityEstimator::from_config(RandomWalkKind::Simple, &config)
+    }
+
     #[test]
     fn single_estimate_reports_statistics() {
         let (osn, _graph) = setup(3);
-        let mut estimator = ProbabilityEstimator::new(
-            RandomWalkKind::Simple,
-            10,
-            5,
-            0.1,
-            WalkEstimateVariant::None,
-        );
+        let mut estimator = simple(15, WalkEstimateVariant::None);
         let mut rng = StdRng::seed_from_u64(1);
         let est = estimator
             .estimate_single(&osn, NodeId(10), None, NodeId(0), 5, None, None, &mut rng)
@@ -261,20 +183,8 @@ mod tests {
         let t = 6;
         let target = NodeId(25);
         let crawl = InitialCrawl::build(&osn, RandomWalkKind::Simple, start, 3).unwrap();
-        let mut plain = ProbabilityEstimator::new(
-            RandomWalkKind::Simple,
-            600,
-            0,
-            0.1,
-            WalkEstimateVariant::None,
-        );
-        let mut crawled = ProbabilityEstimator::new(
-            RandomWalkKind::Simple,
-            600,
-            0,
-            0.1,
-            WalkEstimateVariant::CrawlOnly,
-        );
+        let mut plain = simple(600, WalkEstimateVariant::None);
+        let mut crawled = simple(600, WalkEstimateVariant::CrawlOnly);
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
         let est_plain = plain
@@ -297,33 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn estimate_many_allocates_full_budget() {
-        let (osn, _) = setup(7);
-        let mut estimator =
-            ProbabilityEstimator::new(RandomWalkKind::Simple, 4, 4, 0.1, WalkEstimateVariant::None);
-        let mut rng = StdRng::seed_from_u64(13);
-        let candidates = vec![(NodeId(5), 5), (NodeId(9), 5), (NodeId(30), 5)];
-        let estimates = estimator
-            .estimate_many(&osn, &candidates, NodeId(0), None, None, &mut rng)
-            .unwrap();
-        assert_eq!(estimates.len(), 3);
-        let total_reps: usize = estimates.iter().map(|e| e.repetitions).sum();
-        // 3 candidates × 4 base + 3 × 4 refinement.
-        assert_eq!(total_reps, 24);
-        for e in &estimates {
-            assert!(
-                e.repetitions >= 4,
-                "every candidate keeps its base repetitions"
-            );
-        }
-    }
-
-    #[test]
     fn from_config_respects_variant() {
         let config = WalkEstimateConfig::default().with_variant(WalkEstimateVariant::CrawlOnly);
         let estimator =
             ProbabilityEstimator::from_config(RandomWalkKind::MetropolisHastings, &config);
         assert_eq!(estimator.variant, WalkEstimateVariant::CrawlOnly);
-        assert_eq!(estimator.base_repetitions, config.base_backward_repetitions);
+        assert_eq!(estimator.repetitions, config.backward_repetitions);
     }
 }

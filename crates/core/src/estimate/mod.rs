@@ -11,8 +11,8 @@
 //!   bias backward steps toward neighbors that historic forward walks
 //!   actually visited, with an importance-weighting correction that preserves
 //!   unbiasedness;
-//! * [`estimator`] — Algorithm 3: repeat backward estimates per candidate and
-//!   spend a refinement budget where the estimation variance is largest.
+//! * [`estimator`] — Algorithm 3: each candidate averages
+//!   `backward_repetitions` backward estimates.
 
 pub mod crawl;
 pub mod estimator;

@@ -53,9 +53,9 @@ pub struct BackwardOptions<'a> {
     /// Exact probabilities within the starting node's `h`-hop neighborhood;
     /// when present, the recursion terminates as soon as `remaining ≤ h`.
     pub crawl: Option<&'a InitialCrawl>,
-    /// Historic forward-walk visit counts for weighted backward sampling,
-    /// together with the floor `ε`; `None` selects predecessors uniformly.
-    pub weighting: Option<(&'a dyn HistoryView, f64)>,
+    /// Historic forward-walk visit counts for weighted backward sampling
+    /// (floor [`weighted::EPSILON`]); `None` selects predecessors uniformly.
+    pub weighting: Option<&'a dyn HistoryView>,
 }
 
 /// What one walker keeps across its backward walks: the estimated node's
@@ -71,21 +71,15 @@ pub struct BackwardBuffers {
 }
 
 impl BackwardBuffers {
-    /// Drops the held node list, so the next walk fetches its node's list
-    /// afresh. Called once per attempt.
-    pub fn forget_node_list(&mut self) {
-        self.node_list = None;
-    }
-
     /// Starts an attempt on `node` holding `list`, which must be `N(node)`
     /// (the forward walk that reached `node` may already hold it); with
-    /// `None` this is [`forget_node_list`](Self::forget_node_list).
+    /// `None` the attempt's first walk fetches it afresh.
     pub fn hold_node_list(&mut self, node: NodeId, list: Option<Arc<[NodeId]>>) {
         self.node_list = list.map(|list| (node, list));
     }
 
-    /// `|N(node)|`, if a walk since the last
-    /// [`forget_node_list`](Self::forget_node_list) fetched `node`'s list.
+    /// `|N(node)|`, if `node`'s list is held: passed to the last
+    /// [`hold_node_list`](Self::hold_node_list) or fetched by a walk since.
     pub(crate) fn fetched_degree(&self, node: NodeId) -> Option<usize> {
         match &self.node_list {
             Some((held, list)) if *held == node => Some(list.len()),
@@ -188,11 +182,11 @@ pub fn backward_estimate<N: SocialNetwork + ?Sized, R: Rng + ?Sized>(
 
         // Selection distribution over the candidates.
         let probs = match options.weighting {
-            Some((history, epsilon)) => weighted::selection_distribution(
+            Some(history) => weighted::selection_distribution(
                 candidates,
                 remaining - 1,
                 history,
-                epsilon,
+                weighted::EPSILON,
                 &mut buffers.selection,
             ),
             None => buffers.selection.uniform(candidates.len()),
@@ -300,7 +294,7 @@ mod tests {
         for _ in 0..repetitions {
             let options = BackwardOptions {
                 crawl: crawl.as_ref(),
-                weighting: history.as_ref().map(|h| (h as &dyn HistoryView, 0.1)),
+                weighting: history.as_ref().map(|h| h as &dyn HistoryView),
             };
             sum += backward_estimate(&osn, kind, node, start, t, options, &mut buffers, &mut rng)
                 .unwrap();
@@ -593,9 +587,12 @@ mod tests {
                     Cow::Borrowed(&neighbors)
                 };
                 let probs = match options.weighting {
-                    Some((history, epsilon)) => {
-                        selection_distribution(&candidates, remaining - 1, history, epsilon)
-                    }
+                    Some(history) => selection_distribution(
+                        &candidates,
+                        remaining - 1,
+                        history,
+                        weighted::EPSILON,
+                    ),
                     None => vec![1.0 / candidates.len() as f64; candidates.len()],
                 };
                 let choice = sample_index(&probs, rng);
@@ -641,7 +638,7 @@ mod tests {
         }
     }
 
-    /// Backward walks per attempt in the default configuration (3 + 2).
+    /// Backward walks per attempt in the default configuration.
     const WALKS_PER_ATTEMPT: usize = 5;
 
     /// A history of forward walks of `kind` from `start`, so weighted
@@ -681,7 +678,7 @@ mod tests {
             {
                 let options = BackwardOptions {
                     crawl: use_crawl.then_some(&crawl),
-                    weighting: use_weighting.then_some((&history as &dyn HistoryView, 0.1)),
+                    weighting: use_weighting.then_some(&history as &dyn HistoryView),
                 };
                 for t in [0usize, 1, 2, 5, 9] {
                     let cell =
@@ -694,7 +691,7 @@ mod tests {
                     for candidate in (0..80).step_by(7).map(NodeId) {
                         // One attempt: the estimate's walks, then the
                         // acceptance step's degree.
-                        buffers.forget_node_list();
+                        buffers.hold_node_list(candidate, None);
                         for walk in 0..WALKS_PER_ATTEMPT {
                             let a = backward_estimate(
                                 &ours,
@@ -796,14 +793,14 @@ mod tests {
                 0,
                 BackwardOptions {
                     crawl: None,
-                    weighting: Some((&history, 0.1)),
+                    weighting: Some(&history),
                 },
             ),
             (
                 2,
                 BackwardOptions {
                     crawl: Some(&crawl),
-                    weighting: Some((&history, 0.1)),
+                    weighting: Some(&history),
                 },
             ),
         ] {

@@ -49,6 +49,10 @@ impl SelectionBuffers {
     }
 }
 
+/// The minimum-probability floor `ε` of every weighted backward step
+/// (Algorithm 2; the paper's setting, Section 7.1).
+pub const EPSILON: f64 = 0.1;
+
 /// The backward selection distribution over `candidates` at forward step
 /// `step` (i.e. the previous node was at step `step` of the forward walk),
 /// written into `buffers`.

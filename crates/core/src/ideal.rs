@@ -128,30 +128,19 @@ impl IdealWalkAnalysis {
 }
 
 /// Exact expected query cost per sample of IDEAL-WALK on a concrete graph:
-/// walk exactly `t` steps from `start` under `kind`, then correct to the
-/// target distribution with rejection sampling using the *exact* scaling
-/// factor `min_v p_t(v)/q(v)`.
+/// walk exactly `t` steps from `start` under the lazy walk
+/// `(1 − α)T + αI` of `kind` (`laziness` `α`; `0.0` is the walk itself),
+/// then correct to the target distribution with rejection sampling using
+/// the *exact* scaling factor `min_v p_t(v)/q(v)`.
 ///
 /// The overall acceptance probability of rejection sampling with the exact
 /// scaling factor is precisely that minimum ratio (mass-weighted average of
 /// `β`), so the expected cost per accepted sample is `t / min_v p_t(v)/q(v)`.
 /// It is infinite until the walk is long enough to give every node positive
-/// probability (i.e. `t ≥` eccentricity of the start node).
+/// probability (i.e. `t ≥` eccentricity of the start node). Bipartite
+/// case-study graphs (hypercubes, balanced trees) need `α > 0` for any walk
+/// length to cover all nodes — the paper's Footnote 1 assumption.
 pub fn exact_cost_per_sample(
-    graph: &Graph,
-    kind: RandomWalkKind,
-    start: NodeId,
-    t: usize,
-    target: TargetDistribution,
-) -> f64 {
-    exact_cost_per_sample_lazy(graph, kind, start, t, target, 0.0)
-}
-
-/// [`exact_cost_per_sample`] for the lazy walk `(1 − α)T + αI`.
-///
-/// Bipartite case-study graphs (hypercubes, balanced trees) need `α > 0` for
-/// any walk length to cover all nodes — the paper's Footnote 1 assumption.
-pub fn exact_cost_per_sample_lazy(
     graph: &Graph,
     kind: RandomWalkKind,
     start: NodeId,
@@ -164,20 +153,10 @@ pub fn exact_cost_per_sample_lazy(
     exact_cost_from_distribution(graph, &p, t, target)
 }
 
-/// The full cost curve `c(t)` for `t = 1..=max_t` (Figure 2): one exact
-/// distribution evolution, pricing every prefix.
+/// The full cost curve `c(t)` of [`exact_cost_per_sample`] for
+/// `t = 1..=max_t` (Figure 2): one exact distribution evolution, pricing
+/// every prefix.
 pub fn exact_cost_curve(
-    graph: &Graph,
-    kind: RandomWalkKind,
-    start: NodeId,
-    max_t: usize,
-    target: TargetDistribution,
-) -> Vec<f64> {
-    exact_cost_curve_lazy(graph, kind, start, max_t, target, 0.0)
-}
-
-/// [`exact_cost_curve`] for the lazy walk `(1 − α)T + αI`.
-pub fn exact_cost_curve_lazy(
     graph: &Graph,
     kind: RandomWalkKind,
     start: NodeId,
@@ -246,20 +225,9 @@ pub fn exact_optimal_walk_length(
     start: NodeId,
     max_t: usize,
     target: TargetDistribution,
-) -> Option<(usize, f64)> {
-    exact_optimal_walk_length_lazy(graph, kind, start, max_t, target, 0.0)
-}
-
-/// [`exact_optimal_walk_length`] for the lazy walk `(1 − α)T + αI`.
-pub fn exact_optimal_walk_length_lazy(
-    graph: &Graph,
-    kind: RandomWalkKind,
-    start: NodeId,
-    max_t: usize,
-    target: TargetDistribution,
     laziness: f64,
 ) -> Option<(usize, f64)> {
-    exact_cost_curve_lazy(graph, kind, start, max_t, target, laziness)
+    exact_cost_curve(graph, kind, start, max_t, target, laziness)
         .into_iter()
         .enumerate()
         .map(|(i, c)| (i + 1, c))
@@ -355,6 +323,7 @@ mod tests {
             NodeId(0),
             4,
             TargetDistribution::Uniform,
+            0.0,
         );
         assert!(cost4.is_infinite());
         // A lazy-ish longer walk eventually has finite cost. Note the plain
@@ -369,6 +338,7 @@ mod tests {
             NodeId(0),
             10,
             TargetDistribution::Uniform,
+            0.0,
         );
         assert!(cost10.is_finite());
     }
@@ -380,7 +350,7 @@ mod tests {
         // assumes.
         let g = hypercube(5); // 32 nodes, matches the paper's case study size
         let laziness = 0.2;
-        let curve = exact_cost_curve_lazy(
+        let curve = exact_cost_curve(
             &g,
             RandomWalkKind::MetropolisHastings,
             NodeId(0),
@@ -388,7 +358,7 @@ mod tests {
             TargetDistribution::Uniform,
             laziness,
         );
-        let (t_opt, c_opt) = exact_optimal_walk_length_lazy(
+        let (t_opt, c_opt) = exact_optimal_walk_length(
             &g,
             RandomWalkKind::MetropolisHastings,
             NodeId(0),
@@ -418,6 +388,7 @@ mod tests {
             NodeId(0),
             40,
             TargetDistribution::Uniform,
+            0.0,
         )
         .is_none());
     }
@@ -429,7 +400,7 @@ mod tests {
         let cycle_graph = cycle(31); // diameter 15, odd => aperiodic
         let cube = hypercube(5); // 32 nodes, diameter 5, bipartite
         let laziness = 0.2;
-        let (t_cycle, _) = exact_optimal_walk_length_lazy(
+        let (t_cycle, _) = exact_optimal_walk_length(
             &cycle_graph,
             RandomWalkKind::MetropolisHastings,
             NodeId(0),
@@ -438,7 +409,7 @@ mod tests {
             laziness,
         )
         .unwrap();
-        let (t_cube, _) = exact_optimal_walk_length_lazy(
+        let (t_cube, _) = exact_optimal_walk_length(
             &cube,
             RandomWalkKind::MetropolisHastings,
             NodeId(0),
@@ -458,7 +429,7 @@ mod tests {
         // under the lazy walk (they appear in the Figure 2 case study).
         let tree = balanced_binary_tree(3);
         let barbell_graph = barbell(15);
-        assert!(exact_optimal_walk_length_lazy(
+        assert!(exact_optimal_walk_length(
             &tree,
             RandomWalkKind::MetropolisHastings,
             NodeId(0),
@@ -467,7 +438,7 @@ mod tests {
             laziness,
         )
         .is_some());
-        assert!(exact_optimal_walk_length_lazy(
+        assert!(exact_optimal_walk_length(
             &barbell_graph,
             RandomWalkKind::MetropolisHastings,
             NodeId(0),
@@ -489,6 +460,7 @@ mod tests {
             NodeId(0),
             12,
             TargetDistribution::Uniform,
+            0.0,
         );
         let to_degree = exact_cost_per_sample(
             &g,
@@ -496,6 +468,7 @@ mod tests {
             NodeId(0),
             12,
             TargetDistribution::DegreeProportional,
+            0.0,
         );
         assert!(to_degree <= to_uniform);
     }

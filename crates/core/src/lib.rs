@@ -22,8 +22,8 @@
 //! * [`estimate`] — the ESTIMATE component: [`estimate::unbiased`]
 //!   (Algorithm 1), [`estimate::crawl`] (initial crawling),
 //!   [`estimate::weighted`] (Algorithm 2, WS-BW), and
-//!   [`estimate::estimator`] (Algorithm 3, variance-driven budget
-//!   allocation);
+//!   [`estimate::estimator`] (Algorithm 3: each candidate averages
+//!   `backward_repetitions` backward walks);
 //! * [`history`] — per-step visit counts of past forward walks, feeding the
 //!   weighted-sampling heuristic;
 //! * [`config`] / [`sampler`] — the assembled WALK-ESTIMATE sampler and its

@@ -315,8 +315,7 @@ mod tests {
         let config = WalkEstimateConfig {
             // Use a generous estimation budget so the acceptance probabilities
             // are driven by the correction, not by estimator noise.
-            base_backward_repetitions: 4,
-            refinement_backward_repetitions: 2,
+            backward_repetitions: 6,
             ..WalkEstimateConfig::default()
         }
         .with_walk_length(WalkLengthPolicy::Fixed(walk_length))

@@ -49,7 +49,7 @@ pub fn run(scale: ExperimentScale) -> FigureResult {
         &["model", "walk_length", "query_cost"],
     );
     for (name, graph, laziness) in case_study_graphs(n) {
-        let curve = ideal::exact_cost_curve_lazy(
+        let curve = ideal::exact_cost_curve(
             &graph,
             RandomWalkKind::Simple,
             NodeId(0),

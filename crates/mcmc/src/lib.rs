@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod burn_in;
 pub mod convergence;
 pub mod distribution;
@@ -39,7 +38,6 @@ pub mod spectral;
 pub mod transition;
 pub mod walker;
 
-pub use baselines::{BfsSampler, DfsSampler, RandomJumpSampler};
 pub use burn_in::{effective_sample_size, ManyShortRunsSampler, OneLongRunSampler};
 pub use convergence::{GewekeMonitor, GewekeOutcome};
 pub use distribution::TransitionMatrix;

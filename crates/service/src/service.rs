@@ -38,21 +38,12 @@ pub struct ServiceConfig {
     /// runs until [`SamplingService::resume`] — useful for tests and for
     /// staging a burst of submissions. Default off.
     pub start_paused: bool,
-    /// Per-key walk cap of the cross-job [`HistoryStore`]: publications are
-    /// refused once a key holds this many walks (0 = unlimited). Bounds the
-    /// store's memory under sustained publishing traffic. Default
-    /// [`wnw_core::history::DEFAULT_MAX_WALKS_PER_KEY`].
-    pub history_max_walks: u64,
     /// Whether per-round telemetry (the round-duration histogram and the
-    /// per-job lifecycle trace) is recorded. Job-level histograms and
-    /// counters are always on; this flag sheds only the per-round costs.
+    /// per-job lifecycle [`TraceLog`], which keeps the last
+    /// [`DEFAULT_TRACE_CAPACITY`] events) is recorded. Job-level histograms
+    /// and counters are always on; this flag sheds only the per-round costs.
     /// Default on.
     pub telemetry: bool,
-    /// Total event capacity of the per-job lifecycle [`TraceLog`] (oldest
-    /// events are evicted beyond it; ignored — treated as 0 — when
-    /// [`telemetry`](Self::telemetry) is off). Default
-    /// [`DEFAULT_TRACE_CAPACITY`].
-    pub trace_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -64,9 +55,7 @@ impl Default for ServiceConfig {
             max_active: 4,
             max_in_flight: 64,
             start_paused: false,
-            history_max_walks: wnw_core::history::DEFAULT_MAX_WALKS_PER_KEY,
             telemetry: true,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 }
@@ -105,22 +94,10 @@ impl<N: ThreadedNetwork + 'static> ServiceBuilder<N> {
         self
     }
 
-    /// Sets the cross-job history store's per-key walk cap (0 = unlimited).
-    pub fn history_max_walks(mut self, walks: u64) -> Self {
-        self.config.history_max_walks = walks;
-        self
-    }
-
     /// Turns per-round telemetry (round-duration histogram + lifecycle
     /// trace) on or off. Default on.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.config.telemetry = enabled;
-        self
-    }
-
-    /// Sets the lifecycle trace ring's total event capacity.
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.config.trace_capacity = events;
         self
     }
 
@@ -143,9 +120,9 @@ impl<N: ThreadedNetwork + 'static> ServiceBuilder<N> {
         let metrics = Arc::new(ServiceMetrics::default());
         let paused = Arc::new(AtomicBool::new(self.config.start_paused));
         let pool = Arc::new(WorkerPool::new(self.config.pool_threads));
-        let history = Arc::new(HistoryStore::with_max_walks(self.config.history_max_walks));
+        let history = Arc::new(HistoryStore::new());
         let trace = Arc::new(TraceLog::new(if self.config.telemetry {
-            self.config.trace_capacity
+            DEFAULT_TRACE_CAPACITY
         } else {
             0
         }));

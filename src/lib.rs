@@ -19,7 +19,7 @@
 //! |---|---|---|
 //! | [`graph`] | `wnw-graph` | CSR graph, generators, metrics, I/O |
 //! | [`access`] | `wnw-access` | restricted OSN interface, budgets, caching, fault injection |
-//! | [`mcmc`] | `wnw-mcmc` | SRW/MHRW, convergence, rejection sampling, baselines |
+//! | [`mcmc`] | `wnw-mcmc` | SRW/MHRW, convergence, rejection sampling, burn-in baselines |
 //! | [`core`] | `wnw-core` | WALK-ESTIMATE (the paper's contribution) |
 //! | [`runtime`] | `wnw-runtime` | persistent round-barrier worker pool (zero-spawn rounds) |
 //! | [`engine`] | `wnw-engine` | concurrent, cache-sharing sampling engine |
